@@ -209,11 +209,6 @@ def bracket_table_defect_so14() -> int:
 # ---------------------------------------------------------------------------
 # Bridge between the quaternionic and 5x5 pictures
 
-#: Proportionality between the slash-induced matrices and so14_matrix.
-#: Determined once by extracting the action of every generator on the basis
-#: vectors; with the axis signs above it comes out to exactly 1.
-SO14_SCALE = 1.0
-
 _BASIS5 = np.eye(5)
 
 
@@ -227,10 +222,10 @@ def slash_induced_matrix(X: AlgebraElement) -> np.ndarray:
 
 
 def homomorphism_residual(label: str) -> float:
-    """Max-norm gap between the slash-induced matrix and SO14_SCALE * K."""
+    """Max-norm gap between the slash-induced matrix and so14_matrix."""
     L = slash_induced_matrix(generator(label))
     K = so14_matrix(*K_INDEX[label])
-    return float(np.abs(L - SO14_SCALE * K).max())
+    return float(np.abs(L - K).max())
 
 
 def intertwining_residual(label1: str, label2: str) -> float:

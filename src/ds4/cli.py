@@ -30,14 +30,21 @@ def _default_seed() -> int:
         return 0
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _triple(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated values, got {text!r}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+    return np.array([_finite(p) for p in parts])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,35 +58,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suite", choices=sorted(SUITES))
     p_check.add_argument("--trials", type=int, default=None)
     p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--tol", type=float, default=1.0,
+    p_check.add_argument("--tol", type=_finite, default=1.0,
                          help="budget multiplier; 1.0 uses the compiled limits")
 
     p_dec = sub.add_parser("decompose", help="factor a group element read as JSON")
     p_dec.add_argument("--file", default=None, help="input path (default: stdin)")
 
     p_orb = sub.add_parser("orbit", help="sample an orbit and emit JSON lines")
-    p_orb.add_argument("--kappa", type=float, default=1.0)
+    p_orb.add_argument("--kappa", type=_finite, default=1.0)
     p_orb.add_argument("-n", "--samples", type=int, default=10)
-    p_orb.add_argument("--pmax", type=float, default=None,
+    p_orb.add_argument("--pmax", type=_finite, default=None,
                        help="momentum window (default 5 kappa)")
     p_orb.add_argument("--seed", type=int, default=None)
-    mode = p_orb.add_mutually_exclusive_group()
-    mode.add_argument("--coords", action="store_true", help="emit dual coordinates (default)")
-    mode.add_argument("--matrix", action="store_true", help="also emit the matrix blocks")
+    p_orb.add_argument("--matrix", action="store_true", help="also emit the matrix blocks")
 
     p_con = sub.add_parser("contract", help="mass-shell defect along a radius grid")
-    p_con.add_argument("--m", type=float, default=1.0)
-    p_con.add_argument("--c", type=float, default=1.0)
+    p_con.add_argument("--m", type=_finite, default=1.0)
+    p_con.add_argument("--c", type=_finite, default=1.0)
     p_con.add_argument("--p", type=_triple, default="1,0,0")
     p_con.add_argument("--q", type=_triple, default="0,1,0")
-    p_con.add_argument("--rmin", type=float, default=10.0)
-    p_con.add_argument("--rmax", type=float, default=1e6)
+    p_con.add_argument("--rmin", type=_finite, default=10.0)
+    p_con.add_argument("--rmax", type=_finite, default=1e6)
     p_con.add_argument("--steps", type=int, default=25)
     p_con.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
 def _cmd_check(args) -> int:
+    if args.trials is not None and args.trials < 0:
+        print("ds4 check: need --trials >= 0", file=sys.stderr)
+        return 2
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(args.suite, trials=args.trials, seed=seed, tol=args.tol)
     print(json.dumps(report.to_json()))

@@ -143,7 +143,6 @@ _GAMMA = (
     QMat2(ZERO, E3, E3, ZERO),
     QMat2(ZERO, ONE, -ONE, ZERO),
 )
-_GAMMA_EMB = tuple(g.embed() for g in _GAMMA)
 
 
 def gamma(alpha: int) -> QMat2:
@@ -186,21 +185,16 @@ def slash(x) -> QMat2:
 
 
 def unslash(m: QMat2, tol: float = 1e-10) -> np.ndarray:
-    """Invert the slash map via x^a = (1/4) tr(gamma^a m).
+    """Invert the slash map by reading x off the blocks.
 
-    The trace is taken in the 4x4 complex embedding, which fixes the
-    trace convention unambiguously; the imaginary part must vanish.
-    Rejects matrices outside the slash image (reconstruction is checked
-    at tol relative to the matrix scale).
+    slash(x) has blocks (x0, -bx; conj(bx), -x0), so x0 = (a.s - d.s)/2
+    and bx = (conj(c) - b)/2.  Rejects matrices outside the slash image
+    (reconstruction is checked at tol relative to the matrix scale).
     """
-    m4 = m.embed()
-    traces = np.array([np.einsum("ij,ji->", g, m4) for g in _GAMMA_EMB])
-    scale = max(1.0, m.max_norm())
-    if np.abs(traces.imag).max() > 1e-12 * scale:
-        raise ValueError("trace has a nonvanishing imaginary part")
-    x = 0.25 * traces.real
+    bx = (m.c.conj() - m.b).scale(0.5)
+    x = np.array([0.5 * (m.a.s - m.d.s), bx.x, bx.y, bx.z, bx.s])
     defect = (slash(x) - m).max_norm()
-    if defect > tol * scale:
+    if defect > tol * max(1.0, m.max_norm()):
         raise ValueError(f"matrix is not in the slash image (defect {defect:.3e})")
     return x
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, from_coords, shape_residual
+from .algebra import AlgebraElement, from_coords, to_coords
 from .gamma import QMat2
 from .group import GroupElement, _qmat, inverse
 from .quaternion import Quaternion, UnitQuaternion, ensure_pure_unit, ensure_unit, random_unit
@@ -130,13 +130,7 @@ def orbit_matrix_of(pt: OrbitPoint) -> AlgebraElement:
 
 def to_coadjoint_coords(X: AlgebraElement) -> CoadjointCoords:
     """Read (a, j, d0, d) off the blocks of a shape-valid element."""
-    m = X.m
-    res = shape_residual(m)
-    if res > 1e-12 * max(1.0, m.max_norm()):
-        raise ValueError(f"matrix is not in the algebra shape (defect {res:.3e})")
-    a = 0.5 * (m.a.v - m.d.v)
-    j = 0.5 * (m.a.v + m.d.v)
-    return CoadjointCoords(a, j, m.b.s, m.b.v)
+    return CoadjointCoords(*to_coords(AlgebraElement.from_qmat(X.m)))
 
 
 def conservation_residuals(coords: CoadjointCoords, kappa: float) -> ConservationResiduals:

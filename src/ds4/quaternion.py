@@ -2,10 +2,11 @@
 
 Quaternions are the scalar field of this package: group elements, algebra
 elements and slashed vectors are 2x2 matrices with quaternion entries.
-Multiplication is done directly on the scalar-vector components; the 2x2
-complex embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k) is kept as an
-independent cross-check and as the bridge to complex linear algebra
-(determinants, matrix exponentials).
+Multiplication is done directly on the scalar-vector components, and
+determinants are the Study determinant in closed form on the quaternionic
+blocks.  The 2x2 complex embedding (1 -> identity, e_k -> (-1)^(k+1) i
+sigma_k) serves only the matrix exponential and the independent
+cross-checks in the test suite.
 """
 
 from __future__ import annotations
@@ -94,14 +95,6 @@ ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 E1 = Quaternion(0.0, 1.0, 0.0, 0.0)
 E2 = Quaternion(0.0, 0.0, 1.0, 0.0)
 E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def mul(q1: Quaternion, q2: Quaternion) -> Quaternion:
-    return q1 * q2
-
-
-def conj(q: Quaternion) -> Quaternion:
-    return q.conj()
 
 
 def ensure_unit(q: Quaternion, tol: float = 1e-9) -> Quaternion:

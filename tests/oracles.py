@@ -38,6 +38,11 @@ def act_via_embedding(g, x) -> np.ndarray:
     return unslash_via_traces(moved)
 
 
+def det_via_embedding(m: QMat2) -> float:
+    """Study determinant as the complex determinant of the 4x4 embedding."""
+    return float(np.linalg.det(m.embed()).real)
+
+
 def inverse_via_embedding(g) -> QMat2:
     G = (g.m if hasattr(g, "m") else g).embed()
     return QMat2.from_embedding(np.linalg.inv(G))

@@ -21,7 +21,6 @@ from ds4.algebra import (
     slash_induced_matrix,
     so14_matrix,
     to_coords,
-    SO14_SCALE,
 )
 from ds4.gamma import ETA, QMat2
 from ds4.group import is_member, t_boost, t_space_rotation, t_space_translation, t_time_translation
@@ -190,7 +189,7 @@ def test_homomorphism_scale_is_unity():
     L = slash_induced_matrix(generator("X0"))
     K = so14_matrix(*K_INDEX["X0"])
     idx = np.unravel_index(np.abs(K).argmax(), K.shape)
-    assert L[idx] / K[idx] == SO14_SCALE == 1.0
+    assert L[idx] / K[idx] == 1.0
 
 
 def test_slash_induced_linearity():

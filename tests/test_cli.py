@@ -7,13 +7,17 @@ import pytest
 from ds4.cli import main
 from ds4.gamma import gamma
 from ds4.group import DecompositionFactors, GroupElement, random_member, reconstruct
-from ds4.suites import RunReport
+from ds4.suites import RunReport, run_suite
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +53,33 @@ def test_check_small_fuzz_suites(capsys):
     for suite in ("membership", "decomposition", "orbits"):
         code, out, _ = run_cli(capsys, "check", suite, "--trials", "20")
         assert code == 0, (suite, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--kappa", "nan"),
+    ("orbit", "--kappa", "inf"),
+    ("orbit", "--pmax", "nan"),
+    ("orbit", "--kappa", "0", "--pmax", "inf"),
+    ("contract", "--m", "nan"),
+    ("contract", "--c", "-inf"),
+    ("contract", "--rmin", "nan"),
+    ("contract", "--rmax", "inf"),
+    ("contract", "--p", "1,nan,0"),
+    ("contract", "--q", "0,inf,0"),
+    ("check", "membership", "--trials", "-3"),
+])
+def test_invalid_numeric_flag_is_usage_error(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err != ""
+
+
+def test_run_suite_rejects_negative_trials():
+    with pytest.raises(ValueError):
+        run_suite("membership", trials=-1)
 
 
 def test_check_failing_tolerance_exits_one(capsys):
@@ -97,6 +128,18 @@ def test_decompose_non_member_exits_three(capsys, monkeypatch):
     assert report["pass"] is False
     assert report["pseudo_unitarity_defect"] > 1.0
     assert err != ""
+
+
+def test_decompose_determinant_failure_exits_three(capsys, monkeypatch):
+    # pseudo-unitarity and the determinant both fail on diag(2, 1)
+    two = {"s": 2, "v": [0, 0, 0]}
+    one = {"s": 1, "v": [0, 0, 0]}
+    zero = {"s": 0, "v": [0, 0, 0]}
+    _feed(monkeypatch, json.dumps({"blocks": {"a": two, "b": zero, "c": zero, "d": one}}))
+    code, out, err = run_cli(capsys, "decompose")
+    assert code == 3 and err != ""
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["pass"] is False and report["det_defect"] > 1.0
 
 
 def test_decompose_parse_error_exits_two(capsys, monkeypatch):

@@ -24,8 +24,20 @@ from ds4.group import (
     t_space_translation,
     t_time_translation,
 )
-from ds4.quaternion import E1, E2, E3, ONE, Quaternion, random_unit, random_unit_vector, sqrt_unit
-from oracles import act_via_embedding, inverse_via_embedding
+from ds4.orbits import adjoint, base_element
+from ds4.quaternion import (
+    E1,
+    E2,
+    E3,
+    ONE,
+    ZERO,
+    Quaternion,
+    random_quaternion,
+    random_unit,
+    random_unit_vector,
+    sqrt_unit,
+)
+from oracles import act_via_embedding, det_via_embedding, inverse_via_embedding
 
 EXPECTED_MIRROR_SIGNS = {
     "X1": +1, "X2": +1, "X3": +1, "X0": -1,
@@ -51,6 +63,48 @@ def test_gamma0_is_the_sole_member():
         rep = is_member(gamma(a))
         assert not rep.passed
         assert rep.pseudo_unitarity_defect > 1.0
+
+
+def test_det_defect_matches_embedding_oracle_on_general_matrices():
+    # against exact rational arithmetic the closed form erred by up to
+    # 25 eps |m|^4 and the embedding by up to 59 eps |m|^4 (6000 draws)
+    rng = np.random.default_rng(37)
+    # gamma^1..gamma^4 have a = 0; (0 1; 0 1) has a = c = 0 and det 0
+    cases = [gamma(a) for a in range(5)] + [QMat2(ZERO, ONE, ZERO, ONE)]
+    for _ in range(200):
+        a, b, c, d = (random_quaternion(rng, 2.0) for _ in range(4))
+        cases += [QMat2(a, b, c, d), QMat2(a.scale(0.1), b, c, d)]  # pivots on c
+    for m in cases:
+        want = abs(det_via_embedding(m) - 1.0)
+        assert abs(is_member(m).det_defect - want) < 1e-13 * max(1.0, m.max_norm()) ** 4
+
+
+def test_det_defect_matches_embedding_oracle_on_members():
+    # on members the two routes differed by at most 8 eps |g|^2 for psi,
+    # phi up to 20 (400 draws per band); the bound leaves a factor of 5
+    rng = np.random.default_rng(38)
+    for _ in range(200):
+        f = DecompositionFactors(random_unit(rng), float(rng.uniform(-6.0, 6.0)),
+                                 random_unit(rng), float(rng.uniform(0.0, 6.0)),
+                                 random_unit_vector(rng))
+        g = reconstruct(f).m
+        want = abs(det_via_embedding(g) - 1.0)
+        assert abs(is_member(g).det_defect - want) < 1e-14 * g.max_norm() ** 2
+
+
+def test_group_routes_avoid_the_embedding(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("embedding route taken")
+
+    monkeypatch.setattr(QMat2, "embed", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    g = reconstruct(DecompositionFactors(random_unit(np.random.default_rng(39)), 0.8,
+                                         ONE, 1.3, E2))
+    assert is_member(g).passed
+    assert (compose(g, inverse(g)).m - QMat2.identity()).max_norm() < 1e-12
+    assert abs(minkowski_square(act_vector(g, origin(1.0).x)) + 1.0) < 1e-12
+    assert (reconstruct(decompose(g)).m - g.m).max_norm() < 1e-12
+    adjoint(g, base_element(1.0))
 
 
 def test_compose_inverse_identity():

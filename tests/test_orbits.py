@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ds4 import algebra
+from ds4 import algebra, suites
 from ds4.group import (
     compose,
+    inverse,
     random_member,
     t_boost,
     t_space_rotation,
@@ -30,7 +31,16 @@ from ds4.orbits import (
     sample_orbit,
     to_coadjoint_coords,
 )
-from ds4.quaternion import E1, E2, E3, ONE, Quaternion, random_unit, random_unit_vector
+from ds4.quaternion import (
+    E1,
+    E2,
+    E3,
+    ONE,
+    Quaternion,
+    ensure_unit,
+    random_unit,
+    random_unit_vector,
+)
 
 
 def _mixed(rng, i):
@@ -193,6 +203,18 @@ def test_conservation_degenerate_flag():
     assert r.degenerate
     assert np.abs(r.r1 - (-np.cross(c.d, c.a))).max() == 0.0
     assert np.abs(r.r1).max() < 1e-12 and abs(r.r2) < 1e-12
+
+
+def test_orbits_suite_near_vanishing_d0():
+    # the orbit point g^-1 Y g, transported by g, lands on the massless
+    # point Y with d0 = 1e-6; solving the first condition for j would
+    # divide the transport round-off by d0 and exceed the budget 100-fold
+    p = np.array([0.3, -1.2, 0.7])
+    z = ensure_unit(Quaternion(1e-6 / np.linalg.norm(p), 0.6, -0.48, 0.64))
+    g = compose(t_time_translation(1.1), t_boost(3.0, E2))
+    X = adjoint(g, adjoint(inverse(g), orbit_matrix(z, p, 0.0)))
+    assert abs(to_coadjoint_coords(X).d0 - 1e-6) < 1e-9
+    assert suites._conservation_ratio(X, 0.0) < 1.0
 
 
 # ---------------------------------------------------------------------------
