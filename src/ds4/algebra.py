@@ -13,7 +13,6 @@ where x.e is the pure-vector quaternion with components x.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -240,22 +239,21 @@ def intertwining_residual(label1: str, label2: str) -> float:
 # Exponential map
 
 def _expm4(A: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential for 4x4 matrices.
+    """Scaling-and-squaring Taylor exponential of 4x4 matrices over leading axes.
 
-    Order 17 after scaling to max-norm <= 1/2 leaves a truncation error
-    far below double round-off; no general-purpose machinery needed at
-    this size.
+    Each matrix is scaled by its own power of two to max-norm <= 1/2, where
+    order 17 leaves a truncation error far below double round-off, and
+    squared back as often; no general-purpose machinery needed at this size.
     """
-    nrm = float(np.abs(A).max())
-    s = max(0, int(math.ceil(math.log2(nrm / 0.5)))) if nrm > 0.5 else 0
-    B = A / (2.0 ** s)
-    out = np.eye(4, dtype=complex)
-    term = np.eye(4, dtype=complex)
+    nrm = np.abs(A).max(axis=(-2, -1))
+    s = np.ceil(np.log2(np.maximum(nrm, 0.5) / 0.5))
+    B = A / (2.0 ** s)[..., None, None]
+    out = term = np.eye(4, dtype=complex)
     for k in range(1, 18):
         term = term @ B / k
         out = out + term
-    for _ in range(s):
-        out = out @ out
+    for i in range(int(s.max(initial=0.0))):
+        out = np.where((s > i)[..., None, None], out @ out, out)
     return out
 
 

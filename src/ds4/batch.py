@@ -1,0 +1,179 @@
+"""Quaternion-block arithmetic on arrays, for the suites' trial chunks.
+
+A quaternion is a (..., 4) float64 array (s, x, y, z) and a 2x2
+quaternionic matrix a (..., 2, 2, 4) array of blocks [[a, b], [c, d]].
+Products contract with the constant structure tensor of the quaternions,
+so a call costs a few numpy calls whatever the number of elements.  Each
+routine is the twin of the scalar one it names, which stays the route for
+single elements and the reference the tests hold this one to.  Every
+check of the scalar route runs on every element, and a failure raises
+the scalar route's exception.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .algebra import _expm4
+from .gamma import embed_blocks, extract_blocks
+from .group import MembershipReport, NonMemberError
+from .quaternion import Quaternion
+
+#: Trials per array in a suite run; bounds the peak memory.
+CHUNK = 256
+
+_I4 = np.eye(4)
+#: _T[i] is the 4x4 matrix of left multiplication by the i-th basis unit.
+_T = np.array([[Quaternion(*e) * Quaternion(*f) for f in _I4] for e in _I4]).swapaxes(1, 2)
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_G0 = np.diag([1.0, -1.0])[..., None] * _I4[0]
+
+
+def blocks(a, b, c, d) -> np.ndarray:
+    """Stack (..., 4) quaternion arrays into (..., 2, 2, 4) matrices."""
+    return np.stack((np.stack((a, b), -2), np.stack((c, d), -2)), -3)
+
+
+def _left(p) -> np.ndarray:
+    """(..., 4, 4) matrices of left multiplication by the quaternions p."""
+    return (p @ _T.reshape(4, 16)).reshape(p.shape[:-1] + (4, 4))
+
+
+def mul(p, q) -> np.ndarray:
+    """Quaternion products p q (Quaternion.__mul__)."""
+    return (_left(p) @ q[..., None])[..., 0]
+
+
+def matmul(m, n) -> np.ndarray:
+    """Matrix products m n (QMat2.__matmul__): the 8x8 real left-multiplication
+    matrix of m times the stacked columns of n."""
+    left = _left(m).swapaxes(-3, -2).reshape(m.shape[:-3] + (8, 8))
+    out = left @ n.swapaxes(-2, -1).reshape(n.shape[:-3] + (8, 2))
+    return out.reshape(out.shape[:-2] + (2, 4, 2)).swapaxes(-2, -1)
+
+
+def conj(q) -> np.ndarray:
+    return q * _CONJ
+
+
+def norm2(q) -> np.ndarray:
+    return (q * q).sum(-1)
+
+
+def dagger(m) -> np.ndarray:
+    return conj(m).swapaxes(-3, -2)
+
+
+def inverse(m) -> np.ndarray:
+    """Closed form (conj a, -conj c; -conj b, conj d) (group.inverse)."""
+    return dagger(m) * np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
+
+
+def unit(q, tol: float = 1e-9) -> np.ndarray:
+    """Normalize each q, rejecting a norm off 1 by more than tol (ensure_unit)."""
+    n = np.sqrt(norm2(q))
+    bad = np.abs(n - 1.0) > tol
+    if bad.any():
+        raise ValueError(f"not a unit quaternion: |q| = {n[bad][0]!r}")
+    return q / n[..., None]
+
+
+def random_unit(rng: np.random.Generator, n: int, dim: int = 4) -> np.ndarray:
+    """n normalized Gaussian draws, each redrawn while its norm is <= 1e-12
+    (quaternion.random_unit, and random_unit_vector's direction for dim 3)."""
+    g = rng.normal(size=(n, dim))
+    while (small := np.linalg.norm(g, axis=-1) <= 1e-12).any():
+        g[small] = rng.normal(size=(int(small.sum()), dim))
+    return g / np.linalg.norm(g, axis=-1)[:, None]
+
+
+def is_member(m) -> tuple[np.ndarray, np.ndarray]:
+    """Study-determinant and pseudo-unitarity defects (group.is_member)."""
+    a, b, c, d = m[..., 0, 0, :], m[..., 0, 1, :], m[..., 1, 0, :], m[..., 1, 1, :]
+    swap = (norm2(c) > norm2(a))[..., None]
+    a, b, c, d = np.where(swap, c, a), np.where(swap, d, b), np.where(swap, a, c), np.where(swap, b, d)
+    n = norm2(a)
+    # a = 0 leaves c conj(a) b = 0, so any finite divisor gives det = 0
+    det = n * norm2(d - mul(mul(c, conj(a)), b) * (1.0 / np.where(n == 0.0, 1.0, n))[..., None])
+    sandwich = matmul(dagger(m), m * np.array([[1.0], [-1.0]])[..., None])
+    return np.abs(det - 1.0), np.abs(sandwich - _G0).max(axis=(-3, -2, -1))
+
+
+def certified(m, tol: float = 1e-10) -> np.ndarray:
+    """m, or NonMemberError with the first failing member's report (group.certified)."""
+    det, unit_defect = is_member(m)
+    bad = np.flatnonzero(~((det <= tol) & (unit_defect <= tol)))  # NaN fails, as in is_member
+    if bad.size:
+        i = bad[0]
+        raise NonMemberError(MembershipReport(float(det[i]), float(unit_defect[i]), tol, False))
+    return m
+
+
+def reconstruct(w, psi, v, phi, u) -> np.ndarray:
+    """T_st(w) T_tt(psi) T_sr(v) T_bt(phi, u) for (n, 4) unit quaternions w, v
+    and (n, 3) unit directions u, the boost's scalar part being 0 (group.reconstruct)."""
+    w, v, u = unit(w), unit(v), unit(u)
+    zero = np.zeros_like(w)
+    ch, sh = np.cosh(0.5 * psi)[:, None] * _I4[0], np.sinh(0.5 * psi)[:, None] * _I4[0]
+    cb = np.cosh(0.5 * phi)[:, None] * _I4[0]
+    su = np.concatenate((zero[:, :1], np.sinh(0.5 * phi)[:, None] * u), -1)
+    return matmul(matmul(matmul(blocks(w, zero, zero, conj(w)), blocks(ch, sh, sh, ch)),
+                         blocks(v, zero, zero, v)), blocks(cb, su, -su, cb))
+
+
+def from_coords(a, j, d0, d) -> np.ndarray:
+    """((a+j).e, d0 + d.e; d0 - d.e, (j-a).e) (algebra.from_coords)."""
+    zero = np.zeros(np.shape(d0) + (1,))
+    top = np.concatenate((np.asarray(d0)[..., None], d), -1)
+    return blocks(np.concatenate((zero, a + j), -1), top, conj(top),
+                  np.concatenate((zero, j - a), -1))
+
+
+def to_coords(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, j, d0, d) read off the blocks (algebra.to_coords)."""
+    av, dv, b = m[..., 0, 0, 1:], m[..., 1, 1, 1:], m[..., 0, 1, :]
+    return 0.5 * (av - dv), 0.5 * (av + dv), b[..., 0], b[..., 1:]
+
+
+def exp(x) -> np.ndarray:
+    """exp of algebra elements through the 4x4 embedding, certified (algebra.exp)."""
+    return certified(extract_blocks(_expm4(embed_blocks(x)), 1e-9))
+
+
+def shape_checked(m, tol: float = 1e-12) -> np.ndarray:
+    """m, or ValueError if an element is off the algebra shape by more than
+    tol relative to its scale (AlgebraElement.from_qmat)."""
+    res = np.maximum(np.abs(m[..., 0, 0, 0]), np.abs(m[..., 1, 1, 0]))
+    res = np.maximum(res, np.abs(m[..., 1, 0, :] - conj(m[..., 0, 1, :])).max(-1))
+    if (res > tol * np.maximum(1.0, np.abs(m).max(axis=(-3, -2, -1)))).any():
+        raise ValueError(f"matrix is not in the algebra shape (defect {res.max():.3e})")
+    return m
+
+
+def adjoint(g, x) -> np.ndarray:
+    """g x g^-1, shape-checked (orbits.adjoint)."""
+    return shape_checked(matmul(matmul(g, x), inverse(g)))
+
+
+def orbit_matrix(z, p, kappa: float) -> np.ndarray:
+    """(p, p0 z; p0 conj(z), -conj(z) p z) with p0 = hypot(kappa, |p|) (orbits.orbit_matrix)."""
+    z = unit(z)
+    pq = np.concatenate((np.zeros(p.shape[:-1] + (1,)), p), -1)
+    top = z * np.hypot(kappa, np.sqrt(norm2(p)))[..., None]
+    return shape_checked(blocks(pq, top, conj(top), -mul(mul(conj(z), pq), z)))
+
+
+def members(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n seeded members from group.random_member's two distributions:
+    factors at even indices, exp at odd ones."""
+    nf, ne = (n + 1) // 2, n // 2
+    w, v = random_unit(rng, nf), random_unit(rng, nf)
+    psi, phi = rng.uniform(-2.0, 2.0, nf), rng.uniform(0.0, 2.0, nf)
+    g = reconstruct(w, psi, v, phi, random_unit(rng, nf, 3))
+    if ne == 0:  # a chunk of one; exp's fixed cost would dominate its time
+        return g
+    c = rng.uniform(-1.0, 1.0, (ne, 10))
+    out = np.empty((n, 2, 2, 4))
+    out[0::2] = g
+    out[1::2] = exp(from_coords(c[:, 0:3], c[:, 3:6], c[:, 6], c[:, 7:10]))
+    return out

@@ -24,10 +24,26 @@ _RECONSTRUCTION_TOL = 1e-8
 
 
 def _default_seed() -> int:
+    """DS4_SEED, or 0 when it is unset or not an integer.  A negative value
+    is a usage error (exit 2), as a negative --seed is."""
     try:
-        return int(os.environ.get("DS4_SEED", "0"))
+        seed = int(os.environ.get("DS4_SEED", "0"))
     except ValueError:
         return 0
+    if seed < 0:
+        print(f"ds4: DS4_SEED must be a nonnegative integer, got {seed}", file=sys.stderr)
+        raise SystemExit(2)
+    return seed
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _finite(text: str) -> float:
@@ -38,6 +54,10 @@ def _finite(text: str) -> float:
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite JSON token {token}")
 
 
 def _triple(text: str) -> np.ndarray:
@@ -56,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a named verification suite")
     p_check.add_argument("suite", choices=sorted(SUITES))
-    p_check.add_argument("--trials", type=int, default=None)
-    p_check.add_argument("--seed", type=int, default=None)
+    p_check.add_argument("--trials", type=_count, default=None)
+    p_check.add_argument("--seed", type=_count, default=None)
     p_check.add_argument("--tol", type=_finite, default=1.0,
                          help="budget multiplier; 1.0 uses the compiled limits")
 
@@ -69,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("-n", "--samples", type=int, default=10)
     p_orb.add_argument("--pmax", type=_finite, default=None,
                        help="momentum window (default 5 kappa)")
-    p_orb.add_argument("--seed", type=int, default=None)
+    p_orb.add_argument("--seed", type=_count, default=None)
     p_orb.add_argument("--matrix", action="store_true", help="also emit the matrix blocks")
 
     p_con = sub.add_parser("contract", help="mass-shell defect along a radius grid")
@@ -85,9 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    if args.trials is not None and args.trials < 0:
-        print("ds4 check: need --trials >= 0", file=sys.stderr)
-        return 2
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(args.suite, trials=args.trials, seed=seed, tol=args.tol)
     print(json.dumps(report.to_json()))
@@ -101,7 +118,7 @@ def _cmd_decompose(args) -> int:
                 text = fh.read()
         else:
             text = sys.stdin.read()
-        g = GroupElement.from_json(json.loads(text))
+        g = GroupElement.from_json(json.loads(text, parse_constant=_reject_constant))
     except (OSError, ValueError, KeyError, TypeError) as err:
         print(f"ds4 decompose: cannot parse input: {err}", file=sys.stderr)
         return 2

@@ -97,22 +97,11 @@ class QMat2(NamedTuple):
 
     def embed(self) -> np.ndarray:
         """Faithful 4x4 complex matrix (2x2 blocks of embedded quaternions)."""
-        m = np.empty((4, 4), dtype=complex)
-        m[0:2, 0:2] = embed(self.a)
-        m[0:2, 2:4] = embed(self.b)
-        m[2:4, 0:2] = embed(self.c)
-        m[2:4, 2:4] = embed(self.d)
-        return m
+        return embed_blocks(np.reshape(self, (2, 2, 4)))
 
     @classmethod
     def from_embedding(cls, m: np.ndarray, tol: float = 1e-10) -> "QMat2":
-        m = np.asarray(m, dtype=complex)
-        return cls(
-            extract(m[0:2, 0:2], tol),
-            extract(m[0:2, 2:4], tol),
-            extract(m[2:4, 0:2], tol),
-            extract(m[2:4, 2:4], tol),
-        )
+        return cls(*map(Quaternion._make, extract_blocks(m, tol).reshape(4, 4).tolist()))
 
     @classmethod
     def identity(cls) -> "QMat2":
@@ -130,6 +119,18 @@ class QMat2(NamedTuple):
     def from_json(cls, obj: dict) -> "QMat2":
         blocks = obj["blocks"]
         return cls(*(Quaternion.from_json(blocks[k]) for k in ("a", "b", "c", "d")))
+
+
+def embed_blocks(m) -> np.ndarray:
+    """4x4 complex embeddings of (..., 2, 2, 4) quaternion blocks [[a, b], [c, d]]."""
+    e = embed(m)  # axes (..., row block, column block, row, column)
+    return e.swapaxes(-3, -2).reshape(e.shape[:-4] + (4, 4))
+
+
+def extract_blocks(m, tol: float = 1e-10) -> np.ndarray:
+    """Inverse of embed_blocks; each 2x2 block is checked on its own scale."""
+    m = np.asarray(m, dtype=complex)
+    return extract(m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2), tol)
 
 
 _QID = QMat2(ONE, ZERO, ZERO, ONE)

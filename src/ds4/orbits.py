@@ -133,22 +133,41 @@ def to_coadjoint_coords(X: AlgebraElement) -> CoadjointCoords:
     return CoadjointCoords(*to_coords(AlgebraElement.from_qmat(X.m)))
 
 
+def cross(u, v) -> np.ndarray:
+    """u x v for equal-shaped (..., 3) arrays: the IEEE operations of
+    np.cross, without its axis handling, which costs more than the product."""
+    u0, u1, u2 = u.T
+    v0, v1, v2 = v.T
+    return np.array((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)).T
+
+
+def _dot(u, v):
+    """u . v over leading axes, through the kernel of u @ v on 3-vectors."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def casimir_defect(a, j, d0, d, kappa: float):
+    """kappa^2 - (d0^2 + d.d - a.a - j.j) over leading axes; zero on the orbit."""
+    return kappa**2 - (d0**2 + _dot(d, d) - _dot(a, a) - _dot(j, j))
+
+
 def conservation_residuals(coords: CoadjointCoords, kappa: float) -> ConservationResiduals:
     """Defects of the two orbit conditions at the given kappa.
 
     Off-orbit inputs are allowed; the residuals are a diagnostic, never
     a gate.
     """
-    a, j, d0, d = coords.a, coords.j, coords.d0, coords.d
-    r2 = kappa**2 - (d0**2 + d @ d - a @ a - j @ j)
-    dxa = np.cross(d, a)
+    a, j, d0, d = coords
+    r2 = casimir_defect(a, j, d0, d, kappa)
+    dxa = cross(d, a)
     if d0 == 0.0:
         return ConservationResiduals(d0 * j - dxa, float(r2), True)
     return ConservationResiduals(j - dxa / d0, float(r2), False)
 
 
 def physicalize(coords: CoadjointCoords, m: float, c: float, R: float) -> PhysicalState:
-    """Attach physical dimensions with the normalization kappa = m c^2.
+    """Attach physical dimensions with the normalization kappa = m c^2;
+    the coordinates, and so the state, may carry leading axes.
 
     The dual coordinates carry a = kappa p/(m c), d0 = kappa E/(m c^2)
     and d = kappa q/R; solving with kappa = m c^2 gives E = d0,
@@ -157,23 +176,23 @@ def physicalize(coords: CoadjointCoords, m: float, c: float, R: float) -> Physic
     if m <= 0 or c <= 0 or R <= 0:
         raise ValueError("mass, speed of light and radius must be positive")
     kappa = m * c**2
-    E = coords.d0
     p = coords.a * (m * c) / kappa
     q = coords.d * R / kappa
-    return PhysicalState(float(E), p, q, np.cross(q, p), m, c, R)
+    return PhysicalState(coords.d0, p, q, cross(q, p), m, c, R)
 
 
 def energy_quartic_residual(st: PhysicalState) -> float:
-    """Value of the quartic energy constraint at the state; zero on orbit.
+    """Value of the quartic energy constraint at the state, over its leading
+    axes; zero on orbit.
 
     E^4 + E^2 (-m^2 c^4 - c^2 p.p + (m^2 c^4 / R^2) q.q)
         - (m^2 c^6 / R^2) l.l
     """
     m, c, R = st.m, st.c, st.R
     E2 = st.E**2
-    B = -(m * c**2) ** 2 - c**2 * (st.p @ st.p) + (m * c**2 / R) ** 2 * (st.q @ st.q)
-    C = -(m**2 * c**6 / R**2) * (st.l @ st.l)
-    return float(E2 * E2 + E2 * B + C)
+    B = -(m * c**2) ** 2 - c**2 * _dot(st.p, st.p) + (m * c**2 / R) ** 2 * _dot(st.q, st.q)
+    C = -(m**2 * c**6 / R**2) * _dot(st.l, st.l)
+    return E2 * E2 + E2 * B + C
 
 
 def positive_energy(m: float, c: float, p, q, R: float) -> float:
@@ -184,7 +203,7 @@ def positive_energy(m: float, c: float, p, q, R: float) -> float:
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    l = np.cross(q, p)
+    l = cross(q, p)
     B = -(m * c**2) ** 2 - c**2 * (p @ p) + (m * c**2 / R) ** 2 * (q @ q)
     C = -(m**2 * c**6 / R**2) * (l @ l)
     disc = B * B - 4.0 * C

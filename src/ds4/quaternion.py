@@ -136,26 +136,28 @@ def sqrt_unit(q: Quaternion) -> Quaternion:
     return Quaternion(math.cos(half), f * q.x, f * q.y, f * q.z)
 
 
-def embed(q: Quaternion) -> np.ndarray:
-    """2x2 complex matrix of q in the basis e_k = (-1)^(k+1) i sigma_k."""
-    return np.array(
-        [[q.s + 1j * q.z, q.x * 1j - q.y],
-         [q.x * 1j + q.y, q.s - 1j * q.z]]
-    )
+#: 1, e1, e2, e3 as row-major 2x2 complex matrices, e_k = (-1)^(k+1) i sigma_k,
+#: stored as interleaved (re, im) pairs so that both directions are real products.
+_BASIS = np.array([[1, 0, 0, 1], [0, 1j, 1j, 0], [0, -1, 1, 0], [1j, 0, 0, -1j]]).view(float)
 
 
-def extract(m: np.ndarray, tol: float = 1e-10) -> Quaternion:
-    """Inverse of embed; rejects matrices outside the quaternion image."""
-    m = np.asarray(m, dtype=complex)
-    q = Quaternion(
-        0.5 * (m[0, 0].real + m[1, 1].real),
-        0.5 * (m[0, 1].imag + m[1, 0].imag),
-        0.5 * (m[1, 0].real - m[0, 1].real),
-        0.5 * (m[0, 0].imag - m[1, 1].imag),
-    )
-    defect = np.abs(m - embed(q)).max()
-    if defect > tol * max(1.0, np.abs(m).max()):
-        raise ValueError(f"matrix is not in the quaternion image (defect {defect:.3e})")
+def embed(q) -> np.ndarray:
+    """2x2 complex matrices of quaternions given as (..., 4) components."""
+    q = np.asarray(q, dtype=float)
+    return (q.reshape(-1, 4) @ _BASIS).view(complex).reshape(q.shape[:-1] + (2, 2))
+
+
+def extract(m, tol: float = 1e-10) -> np.ndarray:
+    """Inverse of embed over leading axes, (..., 2, 2) -> (..., 4).
+
+    Rejects the input if any matrix is outside the quaternion image, at
+    tol relative to that matrix's own largest entry.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    q = 0.5 * (m.reshape(-1, 4).view(float) @ _BASIS.T).reshape(m.shape[:-2] + (4,))
+    defect = np.abs(m - embed(q)).max(axis=(-2, -1))
+    if np.any(defect > tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))):
+        raise ValueError(f"matrix is not in the quaternion image (defect {defect.max():.3e})")
     return q
 
 

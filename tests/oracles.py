@@ -14,7 +14,7 @@ _GAMMA_EMB = [gamma(a).embed() for a in range(5)]
 
 def mul_via_embedding(q1: Quaternion, q2: Quaternion) -> Quaternion:
     """Quaternion product computed in the 2x2 complex representation."""
-    return extract(embed(q1) @ embed(q2))
+    return Quaternion(*extract(embed(q1) @ embed(q2)))
 
 
 def slash_via_summation(x) -> np.ndarray:

@@ -1,0 +1,213 @@
+"""The batched array route against its scalar twins.
+
+Tolerances come from float64 round-off: a product entry is a sum of at
+most 8 terms, so two summation orders differ by at most 16 eps times the
+sum of their magnitudes, bounded below by the factors' max-norms.  Where
+both routes do the same operations the results must be equal.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ds4 import algebra, batch, group, orbits, suites
+from ds4.gamma import QMat2, embed_blocks, extract_blocks
+from ds4.group import DecompositionFactors, NonMemberError
+from ds4.quaternion import Quaternion, random_unit, random_unit_vector
+
+EPS = np.finfo(float).eps
+KAPPAS = (0.1, 1.0, 10.0)
+
+
+def _arr(m) -> np.ndarray:
+    return np.reshape(getattr(m, "m", m), (2, 2, 4))
+
+
+def _qmat(a) -> QMat2:
+    return QMat2(*map(Quaternion._make, np.reshape(a, (4, 4)).tolist()))
+
+
+def _scale(a) -> float:
+    return max(1.0, float(np.abs(a).max()))
+
+
+def _members(seed: int, n: int = 64):
+    rng = np.random.default_rng(seed)
+    gs = [group.random_member(rng, "exp" if i % 2 else "factors") for i in range(n)]
+    return gs, np.array([_arr(g) for g in gs])
+
+
+def _massless(seed: int, n: int = 8):
+    rng = np.random.default_rng(seed)
+    return [orbits.orbit_matrix(random_unit(rng), random_unit_vector(rng).v * rng.uniform(0.1, 2.0), 0.0)
+            for _ in range(n)]
+
+
+def test_products_and_inverse_match_scalar():
+    gs, G = _members(401)
+    H = G[::-1]
+    for g, h, got, q in zip(gs, gs[::-1], batch.matmul(G, H), batch.mul(G[:, 0, 1], H[:, 1, 0])):
+        assert np.abs(got - _arr(g.m @ h.m)).max() <= 128 * EPS * _scale(_arr(g)) * _scale(_arr(h))
+        want = np.array(g.m.b * h.m.c)
+        assert np.abs(q - want).max() <= 64 * EPS * _scale(_arr(g)) * _scale(_arr(h))
+    inv = batch.inverse(G)
+    assert np.array_equal(inv, [_arr(group.inverse(g)) for g in gs])
+    assert np.array_equal(batch.dagger(G), [_arr(g.m.dagger()) for g in gs])
+
+
+def test_membership_defects_match_scalar():
+    gs, G = _members(402)
+    det, unit = batch.is_member(G)
+    for g, d, u in zip(gs, det, unit):
+        rep = group.is_member(g)
+        s = _scale(_arr(g))
+        assert abs(d - rep.det_defect) <= 256 * EPS * s**4
+        assert abs(u - rep.pseudo_unitarity_defect) <= 128 * EPS * s**2
+    assert batch.certified(G) is G
+
+
+def test_reconstruct_matches_scalar():
+    rng = np.random.default_rng(403)
+    w, v = [random_unit(rng) for _ in range(64)], [random_unit(rng) for _ in range(64)]
+    u = [random_unit_vector(rng) for _ in range(64)]
+    psi, phi = rng.uniform(-2.0, 2.0, 64), rng.uniform(0.0, 2.0, 64)
+    got = batch.reconstruct(np.array(w), psi, np.array(v), phi, np.array(u)[:, 1:])
+    for k in range(64):
+        want = _arr(group.reconstruct(DecompositionFactors(w[k], psi[k], v[k], phi[k], u[k])))
+        assert np.abs(got[k] - want).max() <= 512 * EPS * _scale(want)
+
+
+def test_exp_matches_scalar():
+    c = np.random.default_rng(404).uniform(-1.0, 1.0, (64, 10))
+    x = batch.from_coords(c[:, 0:3], c[:, 3:6], c[:, 6], c[:, 7:10])
+    got = batch.exp(x)
+    for k, row in enumerate(c):
+        X = algebra.from_coords(row[0:3], row[3:6], row[6], row[7:10])
+        assert np.array_equal(x[k], _arr(X))
+        want = _arr(algebra.exp(X))
+        assert np.abs(got[k] - want).max() <= 64 * EPS * _scale(want)
+
+
+def test_adjoint_coords_and_ratio_match_scalar():
+    gs, G = _members(405)
+    seeds = [(k, orbits.base_element(k)) for k in KAPPAS]
+    seeds += [(0.0, X) for X in _massless(406)]
+    for kappa, X in seeds:
+        Y = batch.adjoint(G, _arr(X))
+        scalar = [orbits.adjoint(g, X) for g in gs]
+        worst = 0.0
+        for g, y, Ys in zip(gs, Y, scalar):
+            assert np.abs(y - _arr(Ys)).max() <= 256 * EPS * _scale(_arr(g)) ** 2 * _scale(_arr(X))
+            c = orbits.to_coadjoint_coords(algebra.AlgebraElement(_qmat(y)))
+            got = batch.to_coords(y)
+            for part, want in zip(got, c):
+                assert np.array_equal(part, want)
+            r1 = c.d0 * c.j - np.cross(c.d, c.a)
+            r2 = orbits.conservation_residuals(c, kappa).r2
+            worst = max(worst, float(np.abs(r1).max()), abs(r2))
+        assert suites._conservation_ratio(Y, kappa) == worst / (1e-9 * max(1.0, kappa**2))
+
+
+def test_orbit_matrix_and_quartic_match_scalar():
+    rng = np.random.default_rng(407)
+    z = np.array([random_unit(rng) for _ in range(32)])
+    p = rng.normal(size=(32, 3))
+    for kappa in (0.0, *KAPPAS):
+        got = batch.orbit_matrix(z, p, kappa)
+        for k in range(32):
+            want = _arr(orbits.orbit_matrix(Quaternion(*z[k]), p[k], kappa))
+            assert np.abs(got[k] - want).max() <= 64 * EPS * _scale(want)
+    gs, G = _members(408, 32)
+    Y = batch.adjoint(G, _arr(orbits.base_element(1.0)))
+    st_batch = orbits.physicalize(orbits.CoadjointCoords(*batch.to_coords(Y)), 1.0, 1.0, 10.0)
+    res = orbits.energy_quartic_residual(st_batch)
+    for k, y in enumerate(Y):
+        c = orbits.to_coadjoint_coords(algebra.AlgebraElement(_qmat(y)))
+        assert res[k] == orbits.energy_quartic_residual(orbits.physicalize(c, 1.0, 1.0, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi=st.floats(-6.0, 6.0), phi=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_wide_rapidity_members_match_scalar(psi, phi, seed):
+    rng = np.random.default_rng(seed)
+    w, v, u = random_unit(rng), random_unit(rng), random_unit_vector(rng)
+    g = group.reconstruct(DecompositionFactors(w, psi, v, phi, u))
+    s = _scale(_arr(g))
+    G = batch.reconstruct(np.array([w]), np.array([psi]), np.array([v]), np.array([phi]),
+                          np.array([u.v]))
+    assert np.abs(G[0] - _arr(g)).max() <= 512 * EPS * s
+    rep = group.is_member(g)
+    det, unit = batch.is_member(G)
+    assert abs(det[0] - rep.det_defect) <= 256 * EPS * s**4
+    assert abs(unit[0] - rep.pseudo_unitarity_defect) <= 128 * EPS * s**2
+    assert np.array_equal(batch.inverse(G)[0], _arr(group.inverse(_qmat(G[0]))))
+    X = orbits.base_element(1.0)
+    Y = batch.adjoint(G, _arr(X))[0]
+    assert np.abs(Y - _arr(orbits.adjoint(_qmat(G[0]), X))).max() <= 256 * EPS * s**2
+
+
+def test_one_perturbed_member_in_a_chunk_is_rejected():
+    M = batch.members(np.random.default_rng(409), batch.CHUNK)
+    assert batch.certified(M) is M
+    M[137, 0, 1, 2] += 1e-6
+    with pytest.raises(NonMemberError) as err:
+        batch.certified(M)
+    want = group.is_member(_qmat(M[137]))
+    assert not want.passed
+    assert err.value.report.det_defect == pytest.approx(want.det_defect, rel=1e-6)
+    assert err.value.report.pseudo_unitarity_defect == pytest.approx(
+        want.pseudo_unitarity_defect, rel=1e-6)
+    M[137, 0, 1, 2] -= 1e-6
+    M[200, 1, 1, 0] = np.nan
+    with pytest.raises(NonMemberError):
+        batch.certified(M)
+    with pytest.raises(NonMemberError):
+        group.certified(_qmat(M[200]))
+
+
+def test_every_batched_check_rejects_a_single_bad_element(monkeypatch):
+    gs, G = _members(410, 16)
+    E = embed_blocks(G)
+    E[5, 0, 2] += 1e-6j  # one block of one member leaves the quaternion image
+    with pytest.raises(ValueError, match="quaternion image"):
+        extract_blocks(E, 1e-9)
+    with monkeypatch.context() as m:
+        m.setattr(batch, "_expm4", lambda a: E)
+        with pytest.raises(ValueError, match="quaternion image"):
+            batch.exp(G)
+    X = _arr(orbits.base_element(10.0))
+    Y = batch.adjoint(G, X)
+    Y[3, 0, 0, 0] += 1e-9
+    with pytest.raises(ValueError):
+        batch.shape_checked(Y)
+    X[0, 0, 0] = 1e-6  # conjugation keeps the identity part off the algebra shape
+    with pytest.raises(ValueError):
+        batch.adjoint(G, X)
+    with pytest.raises(ValueError):
+        orbits.adjoint(gs[0], algebra.AlgebraElement(_qmat(X)))
+    c = np.random.default_rng(411).uniform(-1.0, 1.0, (8, 10))
+    x = batch.from_coords(c[:, 0:3], c[:, 3:6], c[:, 6], c[:, 7:10])
+    x[2, 0, 0, 0] = 0.5  # a scalar part scales the Study determinant
+    with pytest.raises(NonMemberError):
+        batch.exp(x)
+    with pytest.raises(NonMemberError):
+        algebra.exp(algebra.AlgebraElement(_qmat(x[2])))
+    z = np.array([random_unit(np.random.default_rng(k)) for k in range(8)])
+    z[6] *= 1.0 + 1e-8
+    with pytest.raises(ValueError):
+        batch.orbit_matrix(z, np.ones((8, 3)), 0.0)
+    with pytest.raises(ValueError):
+        batch.reconstruct(z, np.zeros(8), z / np.linalg.norm(z, axis=-1)[:, None],
+                          np.zeros(8), np.ones((8, 3)) / np.sqrt(3.0))
+
+
+@pytest.mark.parametrize("trials", [0, 1, 2, 255, 256, 257, 513])
+def test_orbits_suite_trial_count(trials):
+    report = suites.run_suite("orbits", trials=trials, seed=11)
+    assert report.trials == 4 * trials + max(1, trials // 5)
+    assert report.passed
+
+
+def test_orbits_suite_is_deterministic():
+    assert suites.run_suite("orbits", trials=300, seed=12) == suites.run_suite("orbits", trials=300, seed=12)

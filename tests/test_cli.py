@@ -67,6 +67,8 @@ def test_check_small_fuzz_suites(capsys):
     ("contract", "--p", "1,nan,0"),
     ("contract", "--q", "0,inf,0"),
     ("check", "membership", "--trials", "-3"),
+    ("check", "clifford", "--seed", "-1"),
+    ("orbit", "-n", "1", "--seed", "-5"),
 ])
 def test_invalid_numeric_flag_is_usage_error(capsys, argv):
     try:
@@ -75,6 +77,14 @@ def test_invalid_numeric_flag_is_usage_error(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and captured.err != ""
+
+
+def test_negative_seed_from_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DS4_SEED", "-5")
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "-n", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and captured.err != ""
 
 
 def test_run_suite_rejects_negative_trials():
@@ -144,6 +154,16 @@ def test_decompose_determinant_failure_exits_three(capsys, monkeypatch):
 
 def test_decompose_parse_error_exits_two(capsys, monkeypatch):
     _feed(monkeypatch, "this is not json")
+    code, out, err = run_cli(capsys, "decompose")
+    assert code == 2 and out == "" and err != ""
+
+
+@pytest.mark.parametrize("token", ["NaN", "-Infinity"])
+def test_decompose_non_finite_token_exits_two(capsys, monkeypatch, token):
+    # diag(2, 1) with a.s replaced by a token that strict JSON does not have
+    zero = '{"s": 0, "v": [0, 0, 0]}'
+    _feed(monkeypatch, f'{{"blocks": {{"a": {{"s": {token}, "v": [0, 0, 0]}}, "b": {zero}, '
+                       f'"c": {zero}, "d": {{"s": 1, "v": [0, 0, 0]}}}}}}')
     code, out, err = run_cli(capsys, "decompose")
     assert code == 2 and out == "" and err != ""
 

@@ -20,6 +20,7 @@ from ds4.orbits import (
     base_element,
     conservation_residuals,
     contraction_sweep,
+    cross,
     defect_slope,
     energy_quartic_residual,
     massless_orbit_point,
@@ -205,6 +206,24 @@ def test_conservation_degenerate_flag():
     assert np.abs(r.r1).max() < 1e-12 and abs(r.r2) < 1e-12
 
 
+def test_cross_is_bitwise_np_cross():
+    rng = np.random.default_rng(67)
+    big, tiny = 1e300, 5e-324
+    edge = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, -0.0, 0.0],
+                     [big, -big, big], [1e154, 1e154, -1e154], [tiny, -tiny, 1.0],
+                     [np.inf, 1.0, 0.0], [1.0, 2.0, 3.0]])
+    u = np.concatenate((rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-8, 8, (200, 3)),
+                        np.repeat(edge, len(edge), axis=0)))
+    v = np.concatenate((rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-8, 8, (200, 3)),
+                        np.tile(edge, (len(edge), 1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.cross(u, v)
+        got = cross(u, v)
+        rows = [cross(a, b) for a, b in zip(u, v)]
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(np.array(rows).view(np.uint64), want.view(np.uint64))
+
+
 def test_orbits_suite_near_vanishing_d0():
     # the orbit point g^-1 Y g, transported by g, lands on the massless
     # point Y with d0 = 1e-6; solving the first condition for j would
@@ -214,7 +233,7 @@ def test_orbits_suite_near_vanishing_d0():
     g = compose(t_time_translation(1.1), t_boost(3.0, E2))
     X = adjoint(g, adjoint(inverse(g), orbit_matrix(z, p, 0.0)))
     assert abs(to_coadjoint_coords(X).d0 - 1e-6) < 1e-9
-    assert suites._conservation_ratio(X, 0.0) < 1.0
+    assert suites._conservation_ratio(np.reshape(X.m, (1, 2, 2, 4)), 0.0) < 1.0
 
 
 # ---------------------------------------------------------------------------
