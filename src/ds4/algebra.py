@@ -13,6 +13,7 @@ where x.e is the pure-vector quaternion with components x.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -238,23 +239,53 @@ def intertwining_residual(label1: str, label2: str) -> float:
 # ---------------------------------------------------------------------------
 # Exponential map
 
-def _expm4(A: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential of 4x4 matrices over leading axes.
+#: _TAYLOR[j, i] = 1/(4j + i)! up to degree 17 and 0 beyond, so that the
+#: Taylor polynomial sum_k B^k/k! is sum_j (sum_i _TAYLOR[j, i] B^i) (B^4)^j.
+_TAYLOR = np.array([[1.0 / math.factorial(k) if k <= 17 else 0.0 for k in range(4 * j, 4 * j + 4)]
+                    for j in range(5)])
+_I8 = np.eye(8)
 
-    Each matrix is scaled by its own power of two to max-norm <= 1/2, where
-    order 17 leaves a truncation error far below double round-off, and
-    squared back as often; no general-purpose machinery needed at this size.
+
+def _expm4(A: np.ndarray) -> np.ndarray:
+    """Scaling-and-squaring Taylor exponential of complex 4x4 matrices over
+    leading axes.
+
+    Each matrix is scaled by its own power of two 2^s to max-norm <= 1/2,
+    the degree-17 Taylor polynomial is evaluated there, and the result is
+    squared s times.  The polynomial is evaluated by Paterson-Stockmeyer on
+    the real form [[Re B, -Im B], [Im B, Re B]]: the powers I, B, B^2, B^3
+    and B^4, five chunk sums from one product with _TAYLOR, and a Horner
+    loop in B^4, 7 real 8x8 matrix products in all.
+
+    On a 4x4 matrix a max-norm of 1/2 bounds only ||B||_2 <= 2, where the
+    dropped terms are bounded by sum_{k>=18} 2^k/k! = 4.6e-11: a bound far
+    above round-off, not the error.  The algebra's elements sit well inside
+    it, and the measured error against scipy.linalg.expm is at round-off
+    (tests/test_algebra.py::test_expm4_against_scipy).  Squaring multiplies
+    a relative error by about 2^s.
     """
     nrm = np.abs(A).max(axis=(-2, -1))
     s = np.ceil(np.log2(np.maximum(nrm, 0.5) / 0.5))
     B = A / (2.0 ** s)[..., None, None]
-    out = term = np.eye(4, dtype=complex)
-    for k in range(1, 18):
-        term = term @ B / k
-        out = out + term
+    lead = A.shape[:-2]
+    P = np.empty(lead + (4, 8, 8))
+    P[..., 0, :, :] = _I8
+    R = P[..., 1, :, :]
+    R[..., :4, :4] = R[..., 4:, 4:] = B.real
+    R[..., 4:, :4] = B.imag
+    R[..., :4, 4:] = -B.imag
+    np.matmul(R, R, out=P[..., 2, :, :])
+    np.matmul(P[..., 2, :, :], R, out=P[..., 3, :, :])
+    B4 = P[..., 2, :, :] @ P[..., 2, :, :]
+    C = (_TAYLOR @ P.reshape(lead + (4, 64))).reshape(lead + (5, 8, 8))
+    del P, R  # the powers are spent; drop them before the Horner loop
+    out = C[..., 4, :, :]
+    for j in (3, 2, 1, 0):
+        out = out @ B4
+        out += C[..., j, :, :]
     for i in range(int(s.max(initial=0.0))):
         out = np.where((s > i)[..., None, None], out @ out, out)
-    return out
+    return out[..., :4, :4] + 1j * out[..., 4:, :4]
 
 
 def exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:

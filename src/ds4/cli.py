@@ -21,6 +21,8 @@ from .group import GroupElement, decompose, is_member, reconstruct
 from .suites import SUITES, run_suite
 
 _RECONSTRUCTION_TOL = 1e-8
+#: Raises ValueError on NaN or inf, which strict JSON cannot carry.
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
 
 
 def _default_seed() -> int:
@@ -142,17 +144,25 @@ def _cmd_orbit(args) -> int:
         print("ds4 orbit: need kappa >= 0, n > 0 and a positive momentum window "
               "(set --pmax explicitly when kappa = 0)", file=sys.stderr)
         return 2
-    for pt in orbits.sample_orbit(args.kappa, args.samples, p_max, seed):
-        X = orbits.orbit_matrix_of(pt)
-        coords = orbits.to_coadjoint_coords(X)
-        res = orbits.conservation_residuals(coords, pt.kappa)
-        record = pt.to_json()
-        record["coords"] = coords.to_json()
-        record["residuals"] = {"r1": [float(c) for c in res.r1], "r2": res.r2,
-                               "degenerate": res.degenerate}
-        if args.matrix:
-            record["matrix"] = X.m.to_json()
-        print(json.dumps(record))
+    lines = []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for pt in orbits.sample_orbit(args.kappa, args.samples, p_max, seed):
+                X = orbits.orbit_matrix_of(pt)
+                coords = orbits.to_coadjoint_coords(X)
+                res = orbits.conservation_residuals(coords, pt.kappa)
+                record = pt.to_json()
+                record["coords"] = coords.to_json()
+                record["residuals"] = {"r1": [float(c) for c in res.r1], "r2": res.r2,
+                                       "degenerate": res.degenerate}
+                if args.matrix:
+                    record["matrix"] = X.m.to_json()
+                lines.append(_STRICT_JSON.encode(record))
+    except (ArithmeticError, ValueError) as err:
+        print(f"ds4 orbit: kappa or the momentum window is too large for float64: {err}",
+              file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 
@@ -161,7 +171,14 @@ def _cmd_contract(args) -> int:
         print("ds4 contract: need steps >= 2 and 0 < rmin < rmax", file=sys.stderr)
         return 2
     grid = np.logspace(np.log10(args.rmin), np.log10(args.rmax), args.steps)
-    table = orbits.contraction_sweep(args.m, args.c, args.p, args.q, grid)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = orbits.contraction_sweep(args.m, args.c, args.p, args.q, grid)
+        if not np.isfinite(table).all():
+            raise OverflowError("non-finite energy or defect")
+    except ArithmeticError as err:
+        print(f"ds4 contract: the inputs are too large for float64: {err}", file=sys.stderr)
+        return 2
     slope = orbits.defect_slope(table)
     if args.format == "json":
         for R, E, defect in table:

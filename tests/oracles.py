@@ -1,10 +1,12 @@
 """Independent oracle routes used to derive expected values.
 
 Everything here goes through the 4x4 complex embedding and generic numpy
-linear algebra, never through the quaternionic closed forms under test.
+or scipy linear algebra, never through the quaternionic closed forms or the
+Taylor evaluation under test.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 from ds4.gamma import ETA, QMat2, gamma
 from ds4.quaternion import Quaternion, embed, extract
@@ -46,6 +48,12 @@ def det_via_embedding(m: QMat2) -> float:
 def inverse_via_embedding(g) -> QMat2:
     G = (g.m if hasattr(g, "m") else g).embed()
     return QMat2.from_embedding(np.linalg.inv(G))
+
+
+def expm_via_pade(A) -> np.ndarray:
+    """scipy's scaling-and-squaring Pade exponential of each 4x4 matrix."""
+    A = np.asarray(A)
+    return np.array([expm(a) for a in A.reshape(-1, 4, 4)]).reshape(A.shape)
 
 
 def structure_rhs_oracle(alpha, beta, rho, delta, k_of, zero):

@@ -7,6 +7,7 @@ from ds4.algebra import (
     GENERATOR_LABELS,
     K_INDEX,
     AlgebraElement,
+    _expm4,
     bracket,
     bracket_table_defect_so14,
     bracket_table_residual_quaternionic,
@@ -25,7 +26,7 @@ from ds4.algebra import (
 from ds4.gamma import ETA, QMat2
 from ds4.group import is_member, t_boost, t_space_rotation, t_space_translation, t_time_translation
 from ds4.quaternion import E1, E2, E3, ONE, ZERO, Quaternion
-from oracles import structure_rhs_oracle
+from oracles import expm_via_pade, structure_rhs_oracle
 
 _PLANES = [(a, b) for a in range(5) for b in range(a + 1, 5)]
 
@@ -255,6 +256,55 @@ def test_exp_lands_in_the_group():
     for _ in range(100):
         rep = is_member(exp(random_element(rng)), 1e-10)
         assert rep.passed
+
+
+# Tolerance of _expm4 against scipy, fixed from the error analysis: the
+# evaluation is 7 real 8x8 products, each within gamma_8 = 8 eps of its
+# terms' magnitudes, so the polynomial at B = A/2^s is within 7 gamma_8 <
+# 64 eps of exp(B) relative to its scale, plus the Taylor remainder, at most
+# sum_{k>=18} ||B||_2^k/k!.  Each of the s squarings doubles a relative
+# error.  scipy's Pade route carries an error of the same order.
+EXPM4_EPS = 64
+
+
+def _squarings(A) -> np.ndarray:
+    return np.ceil(np.log2(np.maximum(np.abs(A).max(axis=(-2, -1)), 0.5) / 0.5))
+
+
+def _expm4_tolerance(A) -> np.ndarray:
+    s = _squarings(A)
+    theta = np.linalg.norm(A / (2.0 ** s)[..., None, None], 2, axis=(-2, -1))
+    remainder = sum(theta**k / math.factorial(k) for k in range(18, 40))
+    return 2.0**s * (EXPM4_EPS * np.finfo(float).eps + remainder)
+
+
+def _expm4_cases() -> list[np.ndarray]:
+    """Stacks of random elements at the scaling threshold and scaled x1,
+    x10 and x40, and one of the zero matrix and the ten generators at t = +-2."""
+    rng = np.random.default_rng(59)
+    raw = np.array([random_element(rng).m.embed() for _ in range(4 * 64)]).reshape(4, 64, 4, 4)
+    threshold = raw[0] * (0.5 / np.abs(raw[0]).max(axis=(-2, -1)))[:, None, None]
+    special = [QMat2.zero().embed()]
+    special += [generator(lab).m.scale(t).embed() for lab in GENERATOR_LABELS for t in (-2.0, 2.0)]
+    return [threshold, raw[1], 10.0 * raw[2], 40.0 * raw[3], np.array(special)]
+
+
+def test_expm4_against_scipy():
+    # measured: error 2.2e-16 with ||B||_2 <= 1.21 at the threshold, and a worst
+    # err/tol of 0.06, on the x40 stack
+    cases = _expm4_cases()
+    assert _squarings(cases[0]).max() <= 1 and _squarings(cases[3]).max() >= 5
+    for A in cases:
+        got, want = _expm4(A), expm_via_pade(A)
+        err = np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+        assert (err <= _expm4_tolerance(A)).all(), (err / _expm4_tolerance(A)).max()
+
+
+def test_expm4_single_matrix_equals_its_stacked_row():
+    for A in _expm4_cases():
+        stacked = _expm4(A)
+        for a, row in zip(A, stacked):
+            assert np.array_equal(_expm4(a), row)
 
 
 def test_algebra_json_roundtrip():

@@ -79,6 +79,29 @@ def test_invalid_numeric_flag_is_usage_error(capsys, argv):
     assert code == 2 and captured.out == "" and captured.err != ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--kappa", "1", "--pmax", "1e308", "-n", "2", "--seed", "3"),
+    ("orbit", "--kappa", "1e154", "-n", "1"),
+    ("orbit", "--kappa", "1e308", "-n", "1"),
+    ("contract", "--m", "1e200", "--steps", "3"),
+])
+def test_overflowing_value_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err != "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--kappa", "2e153", "-n", "50"),
+    ("orbit", "--kappa", "1", "--pmax", "1e154", "-n", "50"),
+    ("contract", "--m", "1e76", "--steps", "3", "--format", "json"),
+])
+def test_large_value_inside_float64_range_still_works(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for line in out.strip().split("\n"):
+        json.loads(line, parse_constant=_reject_constant)
+
+
 def test_negative_seed_from_environment_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("DS4_SEED", "-5")
     with pytest.raises(SystemExit) as exc:
