@@ -61,10 +61,8 @@ def shape_residual(m: QMat2) -> float:
 
 
 def from_coords(a, j, d0, d) -> AlgebraElement:
-    a = np.asarray(a, dtype=float)
-    j = np.asarray(j, dtype=float)
-    d = np.asarray(d, dtype=float)
-    top = Quaternion(float(d0), d[0], d[1], d[2])
+    a, j, d = (np.asarray(x, dtype=float) for x in (a, j, d))
+    top = Quaternion(float(d0), *d.tolist())
     return AlgebraElement(QMat2(_pure(a + j), top, top.conj(), _pure(j - a)))
 
 
@@ -175,8 +173,7 @@ def structure_rhs(alpha, beta, rho, delta, k_of):
     ):
         if i1 != i2:
             continue
-        term = k_of(j1, j2)
-        term = term.scale(sign * ETA[i1]) if isinstance(term, QMat2) else sign * ETA[i1] * term
+        term = sign * ETA[i1] * k_of(j1, j2)
         out = term if out is None else out + term
     if out is None:
         out = k_of(0, 0)  # zero element of the representation

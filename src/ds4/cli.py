@@ -184,7 +184,7 @@ def _cmd_contract(args) -> int:
         for R, E, defect in table:
             print(json.dumps({"R": float(R), "E": float(E),
                               "mass_shell_defect": float(defect)}))
-        print(json.dumps({"slope": slope}))
+        print(json.dumps({"slope": None if np.isnan(slope) else slope}))
     else:
         print("R,E,mass_shell_defect")
         for R, E, defect in table:

@@ -69,12 +69,10 @@ class QMat2(NamedTuple):
     d: Quaternion
 
     def __matmul__(self, o: "QMat2") -> "QMat2":
-        return QMat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
+        a, b, c, d = self
+        oa, ob, oc, od = o
+        return QMat2(_mul_add(a, oa, b, oc), _mul_add(a, ob, b, od),
+                     _mul_add(c, oa, d, oc), _mul_add(c, ob, d, od))
 
     def __add__(self, o):
         return QMat2(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
@@ -87,6 +85,7 @@ class QMat2(NamedTuple):
 
     def scale(self, t: float) -> "QMat2":
         return QMat2(self.a.scale(t), self.b.scale(t), self.c.scale(t), self.d.scale(t))
+    __rmul__ = scale
 
     def dagger(self) -> "QMat2":
         """Transpose of the entrywise quaternionic conjugate."""
@@ -121,6 +120,18 @@ class QMat2(NamedTuple):
         return cls(*(Quaternion.from_json(blocks[k]) for k in ("a", "b", "c", "d")))
 
 
+def _mul_add(p: Quaternion, q: Quaternion, r: Quaternion, t: Quaternion) -> Quaternion:
+    """p q + r t in one pass, with the operations of p * q + r * t in their order."""
+    (s1, x1, y1, z1), (s2, x2, y2, z2) = p, q
+    (s3, x3, y3, z3), (s4, x4, y4, z4) = r, t
+    return Quaternion(
+        (s1 * s2 - x1 * x2 - y1 * y2 - z1 * z2) + (s3 * s4 - x3 * x4 - y3 * y4 - z3 * z4),
+        (s1 * x2 + s2 * x1 + y1 * z2 - z1 * y2) + (s3 * x4 + s4 * x3 + y3 * z4 - z3 * y4),
+        (s1 * y2 + s2 * y1 + z1 * x2 - x1 * z2) + (s3 * y4 + s4 * y3 + z3 * x4 - x3 * z4),
+        (s1 * z2 + s2 * z1 + x1 * y2 - y1 * x2) + (s3 * z4 + s4 * z3 + x3 * y4 - y3 * x4),
+    )
+
+
 def embed_blocks(m) -> np.ndarray:
     """4x4 complex embeddings of (..., 2, 2, 4) quaternion blocks [[a, b], [c, d]]."""
     e = embed(m)  # axes (..., row block, column block, row, column)
@@ -153,12 +164,6 @@ def gamma(alpha: int) -> QMat2:
     return _GAMMA[alpha]
 
 
-def gamma_lower(alpha: int) -> QMat2:
-    """Lower-index gamma_alpha = eta_aa gamma^alpha (no sum)."""
-    g = gamma(alpha)
-    return g if ETA[alpha] > 0 else -g
-
-
 def anticommutator(alpha: int, beta: int) -> QMat2:
     """gamma^a gamma^b + gamma^b gamma^a; equals 2 eta^ab times the identity."""
     ga, gb = gamma(alpha), gamma(beta)
@@ -179,10 +184,10 @@ def slash(x) -> QMat2:
     With the quaternion bx = (x4, x1, x2, x3) the result has blocks
     (x0, -bx; conj(bx), -x0).
     """
-    x = np.asarray(x, dtype=float)
-    bx = Quaternion(x[4], x[1], x[2], x[3])
-    x0 = Quaternion(x[0], 0.0, 0.0, 0.0)
-    return QMat2(x0, -bx, bx.conj(), -x0)
+    x0, x1, x2, x3, x4 = np.asarray(x, dtype=float).tolist()
+    bx = Quaternion(x4, x1, x2, x3)
+    t = Quaternion(x0, 0.0, 0.0, 0.0)
+    return QMat2(t, -bx, bx.conj(), -t)
 
 
 def unslash(m: QMat2, tol: float = 1e-10) -> np.ndarray:
@@ -199,13 +204,3 @@ def unslash(m: QMat2, tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"matrix is not in the slash image (defect {defect:.3e})")
     return x
 
-
-def ambient_to_json(x) -> dict:
-    return {"x": [float(c) for c in np.asarray(x, dtype=float)]}
-
-
-def ambient_from_json(obj: dict) -> np.ndarray:
-    x = np.asarray(obj["x"], dtype=float)
-    if x.shape != (5,):
-        raise ValueError(f"expected 5 components, got shape {x.shape}")
-    return x

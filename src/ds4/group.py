@@ -174,10 +174,25 @@ class DecompositionFactors(NamedTuple):
 
 
 def reconstruct(f: DecompositionFactors) -> GroupElement:
-    """Product T_st(w) T_tt(psi) T_sr(v) T_bt(phi, u)."""
-    m = (t_space_translation(f.w).m @ t_time_translation(f.psi).m
-         @ t_space_rotation(f.v).m @ t_boost(f.phi, f.u).m)
-    return GroupElement(m)
+    """Product T_st(w) T_tt(psi) T_sr(v) T_bt(phi, u) in closed form: with
+    ch, sh = cosh, sinh(psi/2), cb, sb = cosh, sinh(phi/2), p = (ch cb, -sh sb u)
+    and q = (sh cb, ch sb u) it is (w v p, w v q; conj(w) v conj(q), conj(w) v conj(p))."""
+    w, v, u = ensure_unit(f.w), ensure_unit(f.v), ensure_pure_unit(f.u)
+    ch, sh = math.cosh(0.5 * f.psi), math.sinh(0.5 * f.psi)
+    cb, sb = math.cosh(0.5 * f.phi), math.sinh(0.5 * f.phi)
+    t, k = -sh * sb, ch * sb
+    p = Quaternion(ch * cb, t * u.x, t * u.y, t * u.z)
+    q = Quaternion(sh * cb, k * u.x, k * u.y, k * u.z)
+    wv, wbv = w * v, w.conj() * v
+    return GroupElement(QMat2(wv * p, wv * q, wbv * q.conj(), wbv * p.conj()))
+
+
+def _lorentz_factor(m: QMat2, w: Quaternion, psi: float) -> QMat2:
+    """T_tt(-psi) T_st(conj(w)) m in closed form (decompose, step 2)."""
+    p, q, r, t = w.conj() * m.a, w.conj() * m.b, w * m.c, w * m.d
+    ch, sh = math.cosh(0.5 * psi), math.sinh(0.5 * psi)
+    return QMat2(p.scale(ch) - r.scale(sh), q.scale(ch) - t.scale(sh),
+                 r.scale(ch) - p.scale(sh), t.scale(ch) - q.scale(sh))
 
 
 def decompose(g, member_tol: float = 1e-10) -> DecompositionFactors:
@@ -189,9 +204,11 @@ def decompose(g, member_tol: float = 1e-10) -> DecompositionFactors:
     1. Move the origin: x = g . origin gives psi = asinh(x0) and a unit
        quaternion z from the spatial part, with w the principal square
        root of z (scalar part >= 0; z = -1 resolves to e1).
-    2. Peel the translations off: L = T_tt(-psi) T_st(conj(w)) g must
-       stabilize the origin and have the Lorentz block structure a = d,
-       b = -c; violations signal an implementation or conditioning fault.
+    2. Peel the translations off: L = T_tt(-psi) T_st(conj(w)) g =
+       (ch p - sh r, ch q - sh t; ch r - sh p, ch t - sh q), with ch, sh =
+       cosh, sinh(psi/2) and p, q, r, t = conj(w) a, conj(w) b, w c, w d,
+       must stabilize the origin and have the Lorentz block structure
+       a = d, b = -c; violations signal an implementation or conditioning fault.
     3. Read the boost off the Lorentz factor: v = a/|a| and, since
        membership forces |a|^2 - |b|^2 = 1, sinh(phi/2) = |b|.  phi is
        recovered as 2 asinh(|b|), which stays fully conditioned at small
@@ -202,18 +219,15 @@ def decompose(g, member_tol: float = 1e-10) -> DecompositionFactors:
     Reconstructing the factors reproduces g to near round-off for any
     certified member.
     """
-    report = is_member(g, member_tol)
-    if not report.passed:
-        raise NonMemberError(report)
-    gm = _qmat(g)
+    gm = certified(g, member_tol).m
 
-    x = act_vector(gm, _ORIGIN1)
-    psi = math.asinh(x[0])
+    x0, x1, x2, x3, x4 = act_vector(gm, _ORIGIN1).tolist()
+    psi = math.asinh(x0)
     ch = math.cosh(psi)
-    z = ensure_unit(Quaternion(x[4] / ch, x[1] / ch, x[2] / ch, x[3] / ch))
+    z = ensure_unit(Quaternion(x4 / ch, x1 / ch, x2 / ch, x3 / ch))
     w = sqrt_unit(z)
 
-    L = t_time_translation(-psi).m @ t_space_translation(w.conj()).m @ gm
+    L = _lorentz_factor(gm, w, psi)
     stab = np.abs(act_vector(L, _ORIGIN1) - _ORIGIN1).max()
     structure = max((L.a - L.d).max_abs(), (L.b + L.c).max_abs())
     if stab > 1e-9 or structure > 1e-9:

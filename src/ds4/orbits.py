@@ -238,7 +238,8 @@ def contraction_sweep(m: float, c: float, p, q, R_list) -> np.ndarray:
 
 
 def defect_slope(table: np.ndarray) -> float:
-    """Least-squares slope of log|defect| against log R; nan if all zero."""
+    """Least-squares slope of log|defect| against log R; NaN when fewer than two
+    defects are nonzero (`ds4 contract` prints null in JSON, `# slope=nan` in CSV)."""
     mask = table[:, 2] != 0.0
     if mask.sum() < 2:
         return float("nan")

@@ -4,9 +4,12 @@ Quaternions are the scalar field of this package: group elements, algebra
 elements and slashed vectors are 2x2 matrices with quaternion entries.
 Multiplication is done directly on the scalar-vector components, and
 determinants are the Study determinant in closed form on the quaternionic
-blocks.  The 2x2 complex embedding (1 -> identity, e_k -> (-1)^(k+1) i
-sigma_k) serves only the matrix exponential and the independent
-cross-checks in the test suite.
+blocks.  The scalar route runs on Python floats, since a numpy scalar makes
+every product after it slower; components are converted exactly where they
+enter (from_json, ensure_unit, ensure_pure_unit, random_unit,
+random_unit_vector, gamma.slash and group.decompose).  The 2x2 complex
+embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k) serves only the
+matrix exponential and the independent cross-checks in the test suite.
 """
 
 from __future__ import annotations
@@ -25,11 +28,6 @@ class Quaternion(NamedTuple):
     y: float
     z: float
 
-    @classmethod
-    def from_sv(cls, s: float, v) -> "Quaternion":
-        vx, vy, vz = (float(c) for c in v)
-        return cls(float(s), vx, vy, vz)
-
     @property
     def v(self) -> np.ndarray:
         """Vector part as a length-3 array."""
@@ -47,9 +45,6 @@ class Quaternion(NamedTuple):
             )
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __add__(self, other):
         return Quaternion(self.s + other.s, self.x + other.x,
                           self.y + other.y, self.z + other.z)
@@ -64,6 +59,7 @@ class Quaternion(NamedTuple):
     def scale(self, t: float) -> "Quaternion":
         t = float(t)
         return Quaternion(t * self.s, t * self.x, t * self.y, t * self.z)
+    __rmul__ = scale
 
     def conj(self) -> "Quaternion":
         """Quaternionic conjugate: negate the vector part."""
@@ -83,7 +79,8 @@ class Quaternion(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Quaternion":
-        return cls.from_sv(obj["s"], obj["v"])
+        vx, vy, vz = (float(c) for c in obj["v"])
+        return cls(float(obj["s"]), vx, vy, vz)
 
 
 # Type alias used in signatures where unit norm is a precondition; unit-ness
@@ -106,7 +103,8 @@ def ensure_unit(q: Quaternion, tol: float = 1e-9) -> Quaternion:
     n = q.norm()
     if abs(n - 1.0) > tol:
         raise ValueError(f"not a unit quaternion: |q| = {n!r}")
-    return q.scale(1.0 / n)
+    t = 1.0 / n
+    return Quaternion(t * float(q.s), t * float(q.x), t * float(q.y), t * float(q.z))
 
 
 def ensure_pure_unit(u: Quaternion, tol: float = 1e-9) -> Quaternion:
@@ -116,7 +114,7 @@ def ensure_pure_unit(u: Quaternion, tol: float = 1e-9) -> Quaternion:
     n = math.hypot(u.x, u.y, u.z)
     if abs(n - 1.0) > tol:
         raise ValueError(f"vector part not unit: |v| = {n!r}")
-    return Quaternion(0.0, u.x / n, u.y / n, u.z / n)
+    return Quaternion(0.0, float(u.x) / n, float(u.y) / n, float(u.z) / n)
 
 
 def sqrt_unit(q: Quaternion) -> Quaternion:
@@ -161,18 +159,13 @@ def extract(m, tol: float = 1e-10) -> np.ndarray:
     return q
 
 
-def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
-    """Components uniform in [-scale, scale]."""
-    return Quaternion(*(rng.uniform(-scale, scale, 4)))
-
-
 def random_unit(rng: np.random.Generator) -> Quaternion:
     """Uniform draw from the unit 3-sphere (normalized Gaussian 4-vector)."""
     while True:
         g = rng.normal(size=4)
         n = np.linalg.norm(g)
         if n > 1e-12:
-            return Quaternion(*(g / n))
+            return Quaternion(*(g / n).tolist())
 
 
 def random_unit_vector(rng: np.random.Generator) -> Quaternion:
@@ -181,4 +174,4 @@ def random_unit_vector(rng: np.random.Generator) -> Quaternion:
         g = rng.normal(size=3)
         n = np.linalg.norm(g)
         if n > 1e-12:
-            return Quaternion(0.0, *(g / n))
+            return Quaternion(0.0, *(g / n).tolist())

@@ -1,17 +1,33 @@
-"""Independent oracle routes used to derive expected values.
+"""Independent oracle routes used to derive expected values, and the
+random inputs the tests feed them.
 
-Everything here goes through the 4x4 complex embedding and generic numpy
-or scipy linear algebra, never through the quaternionic closed forms or the
-Taylor evaluation under test.
+The routes go through the 4x4 complex embedding and generic numpy or scipy
+linear algebra, or through generic QMat2 products of the factor matrices,
+never through the quaternionic closed forms or the Taylor evaluation under
+test.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
 from ds4.gamma import ETA, QMat2, gamma
+from ds4.group import t_boost, t_space_rotation, t_space_translation, t_time_translation
 from ds4.quaternion import Quaternion, embed, extract
 
+
+def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
+    """Components uniform in [-scale, scale]."""
+    return Quaternion(*rng.uniform(-scale, scale, 4).tolist())
+
+
+def gamma_lower(alpha: int) -> QMat2:
+    """Lower-index gamma_alpha = eta_aa gamma^alpha (no sum)."""
+    g = gamma(alpha)
+    return g if ETA[alpha] > 0 else -g
+
+
 _GAMMA_EMB = [gamma(a).embed() for a in range(5)]
+_GAMMA_LOWER_EMB = [gamma_lower(a).embed() for a in range(5)]
 
 
 def mul_via_embedding(q1: Quaternion, q2: Quaternion) -> Quaternion:
@@ -20,11 +36,11 @@ def mul_via_embedding(q1: Quaternion, q2: Quaternion) -> Quaternion:
 
 
 def slash_via_summation(x) -> np.ndarray:
-    """Sum x^a eta_aa gamma^a in the embedding (lower-index contraction)."""
+    """Sum x^a gamma_a in the embedding (lower-index contraction)."""
     x = np.asarray(x, dtype=float)
     out = np.zeros((4, 4), dtype=complex)
     for a in range(5):
-        out += x[a] * ETA[a] * _GAMMA_EMB[a]
+        out += x[a] * _GAMMA_LOWER_EMB[a]
     return out
 
 
@@ -48,6 +64,17 @@ def det_via_embedding(m: QMat2) -> float:
 def inverse_via_embedding(g) -> QMat2:
     G = (g.m if hasattr(g, "m") else g).embed()
     return QMat2.from_embedding(np.linalg.inv(G))
+
+
+def reconstruct_via_products(f) -> QMat2:
+    """T_st(w) T_tt(psi) T_sr(v) T_bt(phi, u) as three generic QMat2 products."""
+    return (t_space_translation(f.w).m @ t_time_translation(f.psi).m
+            @ t_space_rotation(f.v).m @ t_boost(f.phi, f.u).m)
+
+
+def lorentz_factor_via_products(m: QMat2, w: Quaternion, psi: float) -> QMat2:
+    """T_tt(-psi) T_st(conj(w)) m as two generic QMat2 products."""
+    return t_time_translation(-psi).m @ t_space_translation(w.conj()).m @ m
 
 
 def expm_via_pade(A) -> np.ndarray:

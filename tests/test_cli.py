@@ -289,6 +289,17 @@ def test_contract_json_format(capsys):
     assert set(rows[-1]) == {"slope"}
 
 
+def test_contract_undefined_slope_spellings(capsys):
+    # p = q = 0 leaves every defect zero, so no slope is defined
+    argv = ("contract", "--p", "0,0,0", "--q", "0,0,0")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    assert rows[-1] == {"slope": None}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines()[-1] == "# slope=nan"
+
+
 def test_contract_determinism(capsys):
     _, first, _ = run_cli(capsys, "contract")
     _, second, _ = run_cli(capsys, "contract")

@@ -5,19 +5,16 @@ from ds4.gamma import (
     DSPoint,
     ETA,
     QMat2,
-    ambient_from_json,
-    ambient_to_json,
     anticommutator,
     dagger_identity_check,
     gamma,
-    gamma_lower,
     minkowski_square,
     origin,
     slash,
     unslash,
 )
-from ds4.quaternion import E2, ONE, ZERO, Quaternion, random_quaternion
-from oracles import slash_via_summation, unslash_via_traces
+from ds4.quaternion import E2, ONE, ZERO, Quaternion
+from oracles import gamma_lower, random_quaternion, slash_via_summation, unslash_via_traces
 
 
 def test_gamma_block_forms():
@@ -66,6 +63,18 @@ def test_qmat2_dagger_properties():
         N = QMat2(*(random_quaternion(rng) for _ in range(4)))
         assert (M.dagger().dagger() - M).max_norm() == 0.0
         assert ((M @ N).dagger() - N.dagger() @ M.dagger()).max_norm() < 1e-14
+
+
+def test_matmul_is_bitwise_the_term_by_term_product():
+    rng = np.random.default_rng(22)
+    signed_zeros = QMat2(Quaternion(-0.0, 0.0, -0.0, 1.0), ZERO, -ONE, Quaternion(0.0, -0.0, 2.0, -0.0))
+    ms = [QMat2(*(random_quaternion(rng, 3.0) for _ in range(4))) for _ in range(200)]
+    ms += [gamma(a) for a in range(5)] + [signed_zeros]
+    pairs = list(zip(ms, ms[1:] + ms[:1])) + [(m, n) for m in ms[-6:] for n in ms[-6:]]
+    for m, n in pairs:
+        want = QMat2(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                     m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+        assert np.array(m @ n).tobytes() == np.array(want).tobytes()
 
 
 def test_slash_origin_blocks():
@@ -157,10 +166,3 @@ def test_ds_point_json_roundtrip():
     p = origin(2.0)
     q = DSPoint.from_json(p.to_json())
     assert np.array_equal(p.x, q.x) and p.R == q.R
-
-
-def test_ambient_json_roundtrip():
-    x = np.array([1.0, -2.0, 0.5, 3.0, -0.25])
-    assert np.array_equal(ambient_from_json(ambient_to_json(x)), x)
-    with pytest.raises(ValueError):
-        ambient_from_json({"x": [1.0, 2.0]})

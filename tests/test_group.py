@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ds4.gamma import QMat2, gamma, minkowski_square, origin
+from ds4.gamma import QMat2, gamma, minkowski_square, origin, slash
 from ds4.group import (
     DecompositionFactors,
     GroupElement,
     NonMemberError,
+    _lorentz_factor,
     act,
     act_vector,
     compose,
@@ -32,12 +35,20 @@ from ds4.quaternion import (
     ONE,
     ZERO,
     Quaternion,
-    random_quaternion,
     random_unit,
     random_unit_vector,
     sqrt_unit,
 )
-from oracles import act_via_embedding, det_via_embedding, inverse_via_embedding
+from oracles import (
+    act_via_embedding,
+    det_via_embedding,
+    inverse_via_embedding,
+    lorentz_factor_via_products,
+    random_quaternion,
+    reconstruct_via_products,
+)
+
+EPS = np.finfo(float).eps
 
 EXPECTED_MIRROR_SIGNS = {
     "X1": +1, "X2": +1, "X3": +1, "X0": -1,
@@ -223,6 +234,55 @@ def test_factor_parameter_validation():
         t_space_translation(Quaternion(2.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         t_boost(1.0, Quaternion(0.3, 1.0, 0.0, 0.0))
+
+
+def test_reconstruct_keeps_the_factor_checks():
+    rng = np.random.default_rng(48)
+    w, v, u = random_unit(rng), random_unit(rng), random_unit_vector(rng)
+    for bad in (DecompositionFactors(w.scale(1.1), 0.5, v, 1.0, u),
+                DecompositionFactors(w, 0.5, v.scale(0.9), 1.0, u),
+                DecompositionFactors(w, 0.5, v, 1.0, Quaternion(0.3, *u.v.tolist())),
+                DecompositionFactors(w, 0.5, v, 1.0, u.scale(1.1))):
+        with pytest.raises(ValueError):
+            reconstruct(bad)
+
+
+# Error analysis for the closed forms against the generic products, fixed
+# before measuring.  Inputs w, v, u are unit and the cosh/sinh values are the
+# same calls in both routes.  A rounded quaternion product of norms p, q errs by
+# at most 4 eps p q per component; every entry of reconstruct's product, and
+# of each route's intermediates, has norm at most E = e^(|psi|/2 + |phi|/2).
+# Each route rounds through at most three such products, a scaling and an
+# add, under 32 eps E per component, so the routes differ by under 64 eps E.
+# The peel scales products of the unit w with blocks of norm at most M by
+# cosh and sinh of psi/2 and adds two: under 8 eps e^(|psi|/2) M for either
+# route, so 32 eps e^(|psi|/2) M bounds their difference with room.
+
+@settings(max_examples=80, deadline=None)
+@given(psi=st.floats(-6.0, 6.0), phi=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_closed_forms_match_the_generic_products(psi, phi, seed):
+    rng = np.random.default_rng(seed)
+    f = DecompositionFactors(random_unit(rng), psi, random_unit(rng), phi, random_unit_vector(rng))
+    g = reconstruct(f).m
+    E = math.exp(0.5 * (abs(psi) + abs(phi)))
+    assert (g - reconstruct_via_products(f)).max_norm() <= 64 * EPS * E
+    M = max(q.norm() for q in g)
+    L = _lorentz_factor(g, f.w, psi)
+    assert (L - lorentz_factor_via_products(g, f.w, psi)).max_norm() <= 32 * EPS * math.exp(0.5 * abs(psi)) * M
+
+
+def test_scalar_route_runs_on_python_floats():
+    # factors and points built from numpy arrays, as a caller holding arrays would
+    rng = np.random.default_rng(49)
+    unit = [x / np.linalg.norm(x) for x in rng.normal(size=(3, 4))]
+    f = DecompositionFactors(Quaternion(*unit[0]), np.float64(0.7), Quaternion(*unit[1]),
+                             np.float64(1.3), Quaternion(0.0, *unit[2][1:] / np.linalg.norm(unit[2][1:])))
+    x = np.array([0.5, 0.1, -0.2, 0.3, math.sqrt(1.0 + 0.5**2 - 0.14)])
+    g = reconstruct(f)
+    d = decompose(g)
+    components = [*(c for q in g.m for c in q), *(c for q in slash(x) for c in q),
+                  *d.w, d.psi, *d.v, d.phi, *d.u]
+    assert all(type(c) is float for c in components), [type(c) for c in components]
 
 
 # ---------------------------------------------------------------------------

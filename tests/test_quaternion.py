@@ -13,11 +13,10 @@ from ds4.quaternion import (
     ensure_pure_unit,
     ensure_unit,
     extract,
-    random_quaternion,
     random_unit,
     sqrt_unit,
 )
-from oracles import mul_via_embedding
+from oracles import mul_via_embedding, random_quaternion
 
 
 def test_identity_element():
