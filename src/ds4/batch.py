@@ -1,22 +1,29 @@
-"""Quaternion-block arithmetic on arrays, for the suites' trial chunks.
+"""Quaternion-block arithmetic on arrays, for the suites' trial chunks and
+the records of `ds4 orbit`.
 
 A quaternion is a (..., 4) float64 array (s, x, y, z) and a 2x2
 quaternionic matrix a (..., 2, 2, 4) array of blocks [[a, b], [c, d]].
-Products contract with the constant structure tensor of the quaternions,
-so a call costs a few numpy calls whatever the number of elements.  Each
-routine is the twin of the scalar one it names, which stays the route for
-single elements and the reference the tests hold this one to.  Every
-check of the scalar route runs on every element, and a failure raises
-the scalar route's exception.
+Matrix products contract with the constant structure tensor of the
+quaternions, so a call costs a few numpy calls whatever the number of
+elements; quaternion products are written out component by component,
+with the operations of Quaternion.__mul__ in their order, so they are
+bitwise the scalar ones.  Each routine is the twin of the scalar one it
+names, which stays the route for single elements and the reference the
+tests hold this one to.  Every check of the scalar route runs on every
+element, and a failure raises the scalar route's exception.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import repeat
 
 import numpy as np
 
 from .algebra import _expm4
 from .gamma import embed_blocks, extract_blocks
 from .group import MembershipReport, NonMemberError
+from .orbits import ConservationResiduals, _dot, casimir_defect, cross
 from .quaternion import Quaternion
 
 #: Trials per array in a suite run; bounds the peak memory.
@@ -40,8 +47,13 @@ def _left(p) -> np.ndarray:
 
 
 def mul(p, q) -> np.ndarray:
-    """Quaternion products p q (Quaternion.__mul__)."""
-    return (_left(p) @ q[..., None])[..., 0]
+    """Quaternion products p q, bitwise Quaternion.__mul__."""
+    s1, x1, y1, z1 = p.T
+    s2, x2, y2, z2 = q.T
+    return np.array((s1 * s2 - x1 * x2 - y1 * y2 - z1 * z2,
+                     s1 * x2 + s2 * x1 + y1 * z2 - z1 * y2,
+                     s1 * y2 + s2 * y1 + z1 * x2 - x1 * z2,
+                     s1 * z2 + s2 * z1 + x1 * y2 - y1 * x2)).T
 
 
 def matmul(m, n) -> np.ndarray:
@@ -156,11 +168,33 @@ def adjoint(g, x) -> np.ndarray:
 
 
 def orbit_matrix(z, p, kappa: float) -> np.ndarray:
-    """(p, p0 z; p0 conj(z), -conj(z) p z) with p0 = hypot(kappa, |p|) (orbits.orbit_matrix)."""
-    z = unit(z)
-    pq = np.concatenate((np.zeros(p.shape[:-1] + (1,)), p), -1)
-    top = z * np.hypot(kappa, np.sqrt(norm2(p)))[..., None]
+    """(p, p0 z; p0 conj(z), -conj(z) p z) for (n, 4) z and (n, 3) p, row for
+    row bitwise orbits.orbit_matrix.  As there, |z| is the 4-argument
+    math.hypot and p0 = math.hypot(kappa, |p|), taken point by point: numpy's
+    sqrt of the squared norm and np.hypot round differently."""
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
+    n = np.fromiter(map(math.hypot, *z.T.tolist()), float, len(z))
+    bad = np.abs(n - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"not a unit quaternion: |q| = {n[bad][0]!r}")
+    z = z * (1.0 / n)[:, None]
+    norm_p = np.sqrt(_dot(p, p)).tolist()  # bitwise np.linalg.norm of each row
+    p0 = np.fromiter(map(math.hypot, repeat(kappa), norm_p), float, len(p))
+    pq = np.concatenate((np.zeros((len(p), 1)), p), -1)
+    top = z * p0[:, None]
     return shape_checked(blocks(pq, top, conj(top), -mul(mul(conj(z), pq), z)))
+
+
+def conservation_residuals(coords, kappa: float) -> ConservationResiduals:
+    """The orbit conditions' defects of (n, ...) coordinates as arrays, row for
+    row bitwise orbits.conservation_residuals (r1 is d0 j - d x a where d0 = 0)."""
+    a, j, d0, d = coords
+    dxa = cross(d, a)
+    degenerate = d0 == 0.0
+    r1 = np.where(degenerate[:, None], d0[:, None] * j - dxa,
+                  j - dxa / np.where(degenerate, 1.0, d0)[:, None])
+    return ConservationResiduals(r1, casimir_defect(a, j, d0, d, kappa), degenerate)
 
 
 def members(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,9 @@ import sys
 import numpy as np
 
 from . import orbits
-from .group import GroupElement, decompose, is_member, reconstruct
+from .gamma import QMat2
+from .group import GroupElement, NonMemberError, decompose, reconstruct
+from .quaternion import Quaternion
 from .suites import SUITES, run_suite
 
 _RECONSTRUCTION_TOL = 1e-8
@@ -69,6 +72,7 @@ def _triple(text: str) -> np.ndarray:
     return np.array([_finite(p) for p in parts])
 
 
+@functools.cache  # once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ds4",
@@ -124,12 +128,16 @@ def _cmd_decompose(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as err:
         print(f"ds4 decompose: cannot parse input: {err}", file=sys.stderr)
         return 2
-    report = is_member(g, tol=_RECONSTRUCTION_TOL)
-    if not report.passed:
-        print(json.dumps(report.to_json()))
+    try:
+        factors = decompose(g, member_tol=_RECONSTRUCTION_TOL)
+    except NonMemberError as err:
+        print(json.dumps(err.report.to_json()))
         print("ds4 decompose: input is not an Sp(2,2) element", file=sys.stderr)
         return 3
-    factors = decompose(g, member_tol=_RECONSTRUCTION_TOL)
+    except (ArithmeticError, RuntimeError, ValueError) as err:
+        # A member at the tolerance can still fail a check of the factorization.
+        print(f"ds4 decompose: the input cannot be factored: {err}", file=sys.stderr)
+        return 3
     residual = (reconstruct(factors).m - g.m).max_norm()
     out = factors.to_json()
     out["residual"] = residual
@@ -144,26 +152,44 @@ def _cmd_orbit(args) -> int:
         print("ds4 orbit: need kappa >= 0, n > 0 and a positive momentum window "
               "(set --pmax explicitly when kappa = 0)", file=sys.stderr)
         return 2
-    lines = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for pt in orbits.sample_orbit(args.kappa, args.samples, p_max, seed):
-                X = orbits.orbit_matrix_of(pt)
-                coords = orbits.to_coadjoint_coords(X)
-                res = orbits.conservation_residuals(coords, pt.kappa)
-                record = pt.to_json()
-                record["coords"] = coords.to_json()
-                record["residuals"] = {"r1": [float(c) for c in res.r1], "r2": res.r2,
-                                       "degenerate": res.degenerate}
-                if args.matrix:
-                    record["matrix"] = X.m.to_json()
-                lines.append(_STRICT_JSON.encode(record))
+            # no name holds the points, so they are freed before the join below
+            lines = _orbit_lines(orbits.sample_orbit(args.kappa, args.samples, p_max, seed),
+                                 args.kappa, args.matrix)
     except (ArithmeticError, ValueError) as err:
         print(f"ds4 orbit: kappa or the momentum window is too large for float64: {err}",
               file=sys.stderr)
         return 2
     print("\n".join(lines))
     return 0
+
+
+def _orbit_lines(points, kappa: float, matrix: bool) -> list[str]:
+    """One strict JSON record per orbit point.  Orbit matrices, coordinates and
+    residuals are computed as arrays, one pass per batch.CHUNK points, which
+    bounds the arrays and lists held at once."""
+    from . import batch  # the array route; the other commands start without it
+
+    lines = []
+    for start in range(0, len(points), batch.CHUNK):
+        chunk = points[start:start + batch.CHUNK]
+        z = np.array([pt.z for pt in chunk])
+        p = np.array([pt.p for pt in chunk])
+        X = batch.orbit_matrix(z, p, kappa)
+        a, j, d0, d = batch.to_coords(X)
+        r1, r2, degenerate = batch.conservation_residuals((a, j, d0, d), kappa)
+        matrices = X.reshape(-1, 4, 4).tolist() if matrix else [None] * len(chunk)
+        for zk, pk, ak, jk, d0k, dk, r1k, r2k, degk, mk in zip(
+                z.tolist(), p.tolist(), a.tolist(), j.tolist(), d0.tolist(), d.tolist(),
+                r1.tolist(), r2.tolist(), degenerate.tolist(), matrices):
+            record = {"z": Quaternion._make(zk).to_json(), "p": pk, "kappa": kappa,
+                      "coords": {"a": ak, "j": jk, "d0": d0k, "d": dk},
+                      "residuals": {"r1": r1k, "r2": r2k, "degenerate": degk}}
+            if matrix:
+                record["matrix"] = QMat2(*map(Quaternion._make, mk)).to_json()
+            lines.append(_STRICT_JSON.encode(record))
+    return lines
 
 
 def _cmd_contract(args) -> int:

@@ -213,8 +213,9 @@ def decompose(g, member_tol: float = 1e-10) -> DecompositionFactors:
        membership forces |a|^2 - |b|^2 = 1, sinh(phi/2) = |b|.  phi is
        recovered as 2 asinh(|b|), which stays fully conditioned at small
        rapidity where acosh(|a|) would lose half the digits.  The boost
-       direction is conj(v) b / |b| with its round-off scalar part
-       dropped; b = 0 degenerates to phi = 0, u = e1.
+       direction is the vector part of conj(v) b over its norm, the
+       round-off scalar part dropped; a vector part of norm <= 1e-12
+       degenerates to phi = 0, u = e1.
 
     Reconstructing the factors reproduces g to near round-off for any
     certified member.
@@ -240,16 +241,18 @@ def decompose(g, member_tol: float = 1e-10) -> DecompositionFactors:
     if na < 1.0 - 1e-12:
         raise RuntimeError(f"|a| = {na!r} below 1 beyond clamp tolerance")
     v = L.a.scale(1.0 / na)
-    sh = L.b.norm()
-    phi = 2.0 * math.asinh(sh)
-    if sh > 1e-12:
-        u_raw = v.conj() * L.b
-        # The scalar part is membership round-off at matrix scale; checking
-        # it after the 1/sh amplification would misfire for tiny boosts.
-        if abs(u_raw.s) > 1e-8 * max(1.0, L.max_norm()):
-            raise RuntimeError(f"boost direction has scalar part {u_raw.s!r}")
-        u = Quaternion(0.0, u_raw.x / sh, u_raw.y / sh, u_raw.z / sh)
-        u = ensure_pure_unit(u, tol=1e-6)
+    u_raw = v.conj() * L.b
+    # The scalar part is membership round-off at matrix scale; checking
+    # it after the 1/|b| amplification would misfire for tiny boosts.
+    if abs(u_raw.s) > 1e-8 * max(1.0, L.max_norm()):
+        raise RuntimeError(f"boost direction has scalar part {u_raw.s!r}")
+    # Branch on the vector part alone: |b| also counts the scalar round-off,
+    # which can pass 1e-12 in a certified member whose boost vanishes.
+    nv = math.hypot(u_raw.x, u_raw.y, u_raw.z)
+    if nv > 1e-12:
+        phi = 2.0 * math.asinh(L.b.norm())
+        u = ensure_pure_unit(Quaternion(0.0, u_raw.x / nv, u_raw.y / nv, u_raw.z / nv),
+                             tol=1e-6)
     else:
         phi, u = 0.0, E1
     return DecompositionFactors(w, psi, v, phi, u)

@@ -117,8 +117,8 @@ def orbit_matrix(z: UnitQuaternion, p, kappa: float) -> AlgebraElement:
         raise ValueError("kappa must be nonnegative")
     z = ensure_unit(z)
     p = np.asarray(p, dtype=float)
-    pq = Quaternion(0.0, p[0], p[1], p[2])
-    p0 = math.hypot(kappa, float(np.linalg.norm(p)))
+    pq = Quaternion(0.0, *p.tolist())
+    p0 = math.hypot(kappa, math.sqrt(p.dot(p)))
     top = z.scale(p0)
     return AlgebraElement.from_qmat(
         QMat2(pq, top, top.conj(), -(z.conj() * pq * z)), tol=1e-12)
@@ -147,8 +147,10 @@ def _dot(u, v):
 
 
 def casimir_defect(a, j, d0, d, kappa: float):
-    """kappa^2 - (d0^2 + d.d - a.a - j.j) over leading axes; zero on the orbit."""
-    return kappa**2 - (d0**2 + _dot(d, d) - _dot(a, a) - _dot(j, j))
+    """kappa^2 - (d0^2 + d.d - a.a - j.j) over leading axes; zero on the orbit.
+    d0 is squared by a product: a Python float's d0**2 calls pow(), which can
+    differ in the last bit from numpy's square of an array."""
+    return kappa**2 - (d0 * d0 + _dot(d, d) - _dot(a, a) - _dot(j, j))
 
 
 def conservation_residuals(coords: CoadjointCoords, kappa: float) -> ConservationResiduals:
@@ -267,12 +269,12 @@ def sample_orbit(kappa: float, n: int, p_max: float, seed: int) -> list[OrbitPoi
         z = random_unit(rng)
         while True:
             direction = rng.normal(size=3)
-            nd = np.linalg.norm(direction)
+            nd = math.sqrt(direction.dot(direction))
             if nd > 1e-12:
                 break
         radius = p_max * rng.uniform() ** (1.0 / 3.0)
         p = direction * (radius / nd)
-        if kappa == 0.0 and np.linalg.norm(p) == 0.0:
+        if kappa == 0.0 and p.dot(p) == 0.0:
             p = np.array([0.0, 0.0, p_max])  # measure-zero guard for massless draws
         out.append(OrbitPoint(z, p, float(kappa)))
     return out

@@ -7,9 +7,10 @@ determinants are the Study determinant in closed form on the quaternionic
 blocks.  The scalar route runs on Python floats, since a numpy scalar makes
 every product after it slower; components are converted exactly where they
 enter (from_json, ensure_unit, ensure_pure_unit, random_unit,
-random_unit_vector, gamma.slash and group.decompose).  The 2x2 complex
-embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k) serves only the
-matrix exponential and the independent cross-checks in the test suite.
+random_unit_vector, gamma.slash, group.decompose and orbits.orbit_matrix).
+The 2x2 complex embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k)
+serves only the matrix exponential and the independent cross-checks in the
+test suite.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def random_unit(rng: np.random.Generator) -> Quaternion:
     """Uniform draw from the unit 3-sphere (normalized Gaussian 4-vector)."""
     while True:
         g = rng.normal(size=4)
-        n = np.linalg.norm(g)
+        n = math.sqrt(g.dot(g))  # np.linalg.norm's own route for 1-D input
         if n > 1e-12:
             return Quaternion(*(g / n).tolist())
 
@@ -172,6 +173,6 @@ def random_unit_vector(rng: np.random.Generator) -> Quaternion:
     """Uniform unit pure-vector quaternion (direction on the 2-sphere)."""
     while True:
         g = rng.normal(size=3)
-        n = np.linalg.norm(g)
+        n = math.sqrt(g.dot(g))
         if n > 1e-12:
             return Quaternion(0.0, *(g / n).tolist())

@@ -4,12 +4,16 @@ random inputs the tests feed them.
 The routes go through the 4x4 complex embedding and generic numpy or scipy
 linear algebra, or through generic QMat2 products of the factor matrices,
 never through the quaternionic closed forms or the Taylor evaluation under
-test.
+test.  The one exception is `ds4 orbit`, whose array route is held to the
+scalar one point by point.
 """
+
+import json
 
 import numpy as np
 from scipy.linalg import expm
 
+from ds4 import orbits
 from ds4.gamma import ETA, QMat2, gamma
 from ds4.group import t_boost, t_space_rotation, t_space_translation, t_time_translation
 from ds4.quaternion import Quaternion, embed, extract
@@ -75,6 +79,24 @@ def reconstruct_via_products(f) -> QMat2:
 def lorentz_factor_via_products(m: QMat2, w: Quaternion, psi: float) -> QMat2:
     """T_tt(-psi) T_st(conj(w)) m as two generic QMat2 products."""
     return t_time_translation(-psi).m @ t_space_translation(w.conj()).m @ m
+
+
+def orbit_lines_pointwise(kappa: float, n: int, p_max: float, seed: int, matrix: bool) -> str:
+    """`ds4 orbit` stdout built record by record through the scalar route:
+    orbit_matrix, to_coadjoint_coords and conservation_residuals."""
+    lines = []
+    for pt in orbits.sample_orbit(kappa, n, p_max, seed):
+        X = orbits.orbit_matrix_of(pt)
+        coords = orbits.to_coadjoint_coords(X)
+        res = orbits.conservation_residuals(coords, pt.kappa)
+        record = pt.to_json()
+        record["coords"] = coords.to_json()
+        record["residuals"] = {"r1": [float(c) for c in res.r1], "r2": res.r2,
+                               "degenerate": res.degenerate}
+        if matrix:
+            record["matrix"] = X.m.to_json()
+        lines.append(json.dumps(record, allow_nan=False))
+    return "\n".join(lines) + "\n"
 
 
 def expm_via_pade(A) -> np.ndarray:

@@ -3,7 +3,8 @@
 Tolerances come from float64 round-off: a product entry is a sum of at
 most 8 terms, so two summation orders differ by at most 16 eps times the
 sum of their magnitudes, bounded below by the factors' max-norms.  Where
-both routes do the same operations the results must be equal.
+both routes do the same operations (quaternion products, the orbit matrix
+and its residuals) the results must be equal.
 """
 
 import numpy as np
@@ -49,8 +50,7 @@ def test_products_and_inverse_match_scalar():
     H = G[::-1]
     for g, h, got, q in zip(gs, gs[::-1], batch.matmul(G, H), batch.mul(G[:, 0, 1], H[:, 1, 0])):
         assert np.abs(got - _arr(g.m @ h.m)).max() <= 128 * EPS * _scale(_arr(g)) * _scale(_arr(h))
-        want = np.array(g.m.b * h.m.c)
-        assert np.abs(q - want).max() <= 64 * EPS * _scale(_arr(g)) * _scale(_arr(h))
+        assert np.array_equal(q, g.m.b * h.m.c)
     inv = batch.inverse(G)
     assert np.array_equal(inv, [_arr(group.inverse(g)) for g in gs])
     assert np.array_equal(batch.dagger(G), [_arr(g.m.dagger()) for g in gs])
@@ -112,12 +112,20 @@ def test_adjoint_coords_and_ratio_match_scalar():
 def test_orbit_matrix_and_quartic_match_scalar():
     rng = np.random.default_rng(407)
     z = np.array([random_unit(rng) for _ in range(32)])
+    z[5] = (0.0, 0.6, 0.8, 0.0)  # d0 = p0 z.s = 0: the degenerate form of r1
     p = rng.normal(size=(32, 3))
+    # np.hypot(kappa, |p|) rounds differently from math.hypot here, for kappa = 0.1, 1, 10
+    p[6:9] = [[1.6866955266853711, 0, 0], [0.3736641175058505, 0, 0], [2.3219163760233608, 0, 0]]
     for kappa in (0.0, *KAPPAS):
         got = batch.orbit_matrix(z, p, kappa)
+        res = batch.conservation_residuals(batch.to_coords(got), kappa)
+        assert res.degenerate.tolist() == [k == 5 for k in range(32)]
         for k in range(32):
-            want = _arr(orbits.orbit_matrix(Quaternion(*z[k]), p[k], kappa))
-            assert np.abs(got[k] - want).max() <= 64 * EPS * _scale(want)
+            X = orbits.orbit_matrix(Quaternion(*z[k]), p[k], kappa)
+            assert np.array_equal(got[k], _arr(X))
+            want = orbits.conservation_residuals(orbits.to_coadjoint_coords(X), kappa)
+            assert np.array_equal(res.r1[k], want.r1)
+            assert res.r2[k] == want.r2 and res.degenerate[k] == want.degenerate
     gs, G = _members(408, 32)
     Y = batch.adjoint(G, _arr(orbits.base_element(1.0)))
     st_batch = orbits.physicalize(orbits.CoadjointCoords(*batch.to_coords(Y)), 1.0, 1.0, 10.0)

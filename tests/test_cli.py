@@ -4,10 +4,18 @@ import json
 import numpy as np
 import pytest
 
+from ds4 import cli, group
 from ds4.cli import main
 from ds4.gamma import gamma
-from ds4.group import DecompositionFactors, GroupElement, random_member, reconstruct
+from ds4.group import (
+    DecompositionFactors,
+    GroupElement,
+    random_member,
+    reconstruct,
+    t_time_translation,
+)
 from ds4.suites import RunReport, run_suite
+from oracles import orbit_lines_pointwise
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +183,32 @@ def test_decompose_determinant_failure_exits_three(capsys, monkeypatch):
     assert report["pass"] is False and report["det_defect"] > 1.0
 
 
+def test_decompose_certifies_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = group.is_member
+    monkeypatch.setattr(group, "is_member", counted)
+    monkeypatch.setattr(cli, "is_member", counted, raising=False)  # a copy imported by name
+    _feed(monkeypatch, json.dumps(random_member(np.random.default_rng(98)).to_json()))
+    code, _, _ = run_cli(capsys, "decompose")
+    assert code == 0 and len(calls) == 1
+
+
+def test_decompose_member_that_cannot_be_factored_exits_three(capsys, monkeypatch):
+    # T_tt(1) with a.s raised by 3e-10 passes membership at 1e-8, but its
+    # action leaves the slash image by more than unslash accepts
+    m = t_time_translation(1.0).m
+    g = GroupElement(m._replace(a=m.a._replace(s=m.a.s + 3e-10)))
+    _feed(monkeypatch, json.dumps(g.to_json()))
+    code, out, err = run_cli(capsys, "decompose")
+    assert code == 3 and out == ""
+    assert len(err.strip().split("\n")) == 1 and "Traceback" not in err
+
+
 def test_decompose_parse_error_exits_two(capsys, monkeypatch):
     _feed(monkeypatch, "this is not json")
     code, out, err = run_cli(capsys, "decompose")
@@ -223,6 +257,30 @@ def test_orbit_matrix_flag(capsys):
     assert code == 0
     rec = json.loads(out.strip())
     assert "matrix" in rec and set(rec["matrix"]["blocks"]) == {"a", "b", "c", "d"}
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    run_cli(capsys, "orbit", "-n", "2", "--seed", "3", "--matrix")
+    code, out, _ = run_cli(capsys, "orbit", "-n", "2", "--seed", "3")
+    assert code == 0
+    assert not any("matrix" in json.loads(line) for line in out.strip().split("\n"))
+
+
+# At n = 100 the first three seeds each hold a record whose d0 ** 2, taken
+# by pow() on a float, differs in the last bit from d0 * d0.
+@pytest.mark.parametrize("kappa,pmax,seed", [(0.0, 2.0, 0), (0.1, None, 14), (1.0, None, 12),
+                                             (10.0, None, 7)])
+@pytest.mark.parametrize("n", [1, 100, 257])  # 257 spans two chunks of batch.CHUNK
+@pytest.mark.parametrize("matrix", [False, True])
+def test_orbit_records_equal_the_pointwise_route(capsys, kappa, pmax, seed, n, matrix):
+    argv = ["orbit", "--kappa", repr(kappa), "-n", str(n), "--seed", str(seed)]
+    argv += ["--pmax", repr(pmax)] if pmax is not None else []
+    argv += ["--matrix"] if matrix else []
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    want = orbit_lines_pointwise(kappa, n, 5.0 * kappa if pmax is None else pmax, seed, matrix)
+    assert out.split("\n") == want.split("\n")
 
 
 def test_orbit_massless(capsys):

@@ -27,7 +27,7 @@ from ds4.group import (
     t_space_translation,
     t_time_translation,
 )
-from ds4.orbits import adjoint, base_element
+from ds4.orbits import adjoint, base_element, orbit_matrix
 from ds4.quaternion import (
     E1,
     E2,
@@ -280,8 +280,9 @@ def test_scalar_route_runs_on_python_floats():
     x = np.array([0.5, 0.1, -0.2, 0.3, math.sqrt(1.0 + 0.5**2 - 0.14)])
     g = reconstruct(f)
     d = decompose(g)
+    X = orbit_matrix(Quaternion(*unit[0]), unit[1][1:], np.float64(0.5))
     components = [*(c for q in g.m for c in q), *(c for q in slash(x) for c in q),
-                  *d.w, d.psi, *d.v, d.phi, *d.u]
+                  *d.w, d.psi, *d.v, d.phi, *d.u, *(c for q in X.m for c in q)]
     assert all(type(c) is float for c in components), [type(c) for c in components]
 
 
@@ -333,6 +334,17 @@ def test_decompose_degenerate_cases():
         f = decompose(g)
         assert (reconstruct(f).m - g.m).max_norm() < 1e-12
         assert f.phi >= 0.0
+
+
+def test_decompose_member_whose_boost_block_is_scalar_round_off():
+    # T_tt(1) with a.s raised by 1e-11 is certified at 1e-10; its peeled
+    # boost block b is a round-off scalar of about 1e-11 with no vector part
+    m = t_time_translation(1.0).m
+    g = GroupElement(m._replace(a=m.a._replace(s=m.a.s + 1e-11)))
+    assert is_member(g).passed
+    f = decompose(g)
+    assert f.phi == 0.0 and f.u == E1
+    assert (reconstruct(f).m - g.m).max_norm() < 1e-10
 
 
 def test_decompose_z_minus_one_uses_e1_axis():
