@@ -84,7 +84,7 @@ def inverse(m) -> np.ndarray:
 def unit(q, tol: float = 1e-9) -> np.ndarray:
     """Normalize each q, rejecting a norm off 1 by more than tol (ensure_unit)."""
     n = np.sqrt(norm2(q))
-    bad = np.abs(n - 1.0) > tol
+    bad = ~(np.abs(n - 1.0) <= tol)
     if bad.any():
         raise ValueError(f"not a unit quaternion: |q| = {n[bad][0]!r}")
     return q / n[..., None]
@@ -175,7 +175,7 @@ def orbit_matrix(z, p, kappa: float) -> np.ndarray:
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     n = np.fromiter(map(math.hypot, *z.T.tolist()), float, len(z))
-    bad = np.abs(n - 1.0) > 1e-9
+    bad = ~(np.abs(n - 1.0) <= 1e-9)
     if bad.any():
         raise ValueError(f"not a unit quaternion: |q| = {n[bad][0]!r}")
     z = z * (1.0 / n)[:, None]

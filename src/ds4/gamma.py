@@ -9,6 +9,7 @@ how the group acts on the hyperboloid of radius R.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -40,10 +41,10 @@ class DSPoint:
         x = np.array(self.x, dtype=float)
         if x.shape != (5,):
             raise ValueError(f"expected 5 components, got shape {x.shape}")
-        if self.R <= 0:
+        if not self.R > 0:
             raise ValueError("radius must be positive")
         defect = abs(minkowski_square(x) + self.R**2)
-        if defect > 1e-9 * self.R**2:
+        if not defect <= 1e-9 * self.R**2:
             raise ValueError(f"point is off the hyperboloid (defect {defect:.3e})")
         object.__setattr__(self, "x", x)
 
@@ -71,8 +72,8 @@ class QMat2(NamedTuple):
     def __matmul__(self, o: "QMat2") -> "QMat2":
         a, b, c, d = self
         oa, ob, oc, od = o
-        return QMat2(_mul_add(a, oa, b, oc), _mul_add(a, ob, b, od),
-                     _mul_add(c, oa, d, oc), _mul_add(c, ob, d, od))
+        return QMat2(*map(_quaternion, (_mul_add(a, oa, b, oc), _mul_add(a, ob, b, od),
+                                        _mul_add(c, oa, d, oc), _mul_add(c, ob, d, od))))
 
     def __add__(self, o):
         return QMat2(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
@@ -120,11 +121,16 @@ class QMat2(NamedTuple):
         return cls(*(Quaternion.from_json(blocks[k]) for k in ("a", "b", "c", "d")))
 
 
-def _mul_add(p: Quaternion, q: Quaternion, r: Quaternion, t: Quaternion) -> Quaternion:
-    """p q + r t in one pass, with the operations of p * q + r * t in their order."""
+#: Quaternion._make without its length check, for the 4-tuples of _mul_add.
+_quaternion = partial(tuple.__new__, Quaternion)
+
+
+def _mul_add(p, q, r, t) -> tuple:
+    """p q + r t for quaternions given as 4-sequences, in one pass and as a
+    tuple of 4 floats, with the operations of p * q + r * t in their order."""
     (s1, x1, y1, z1), (s2, x2, y2, z2) = p, q
     (s3, x3, y3, z3), (s4, x4, y4, z4) = r, t
-    return Quaternion(
+    return (
         (s1 * s2 - x1 * x2 - y1 * y2 - z1 * z2) + (s3 * s4 - x3 * x4 - y3 * y4 - z3 * z4),
         (s1 * x2 + s2 * x1 + y1 * z2 - z1 * y2) + (s3 * x4 + s4 * x3 + y3 * z4 - z3 * y4),
         (s1 * y2 + s2 * y1 + z1 * x2 - x1 * z2) + (s3 * y4 + s4 * y3 + z3 * x4 - x3 * z4),
@@ -190,17 +196,30 @@ def slash(x) -> QMat2:
     return QMat2(t, -bx, bx.conj(), -t)
 
 
+def _max_abs(v) -> float:
+    """Largest |v_i|, or NaN if any v_i is NaN (max keeps a NaN only in first place)."""
+    v = [abs(c) for c in v]
+    total = sum(v)
+    return max(v) if total == total else total
+
+
 def unslash(m: QMat2, tol: float = 1e-10) -> np.ndarray:
-    """Invert the slash map by reading x off the blocks.
+    """Invert the slash map by reading x off the blocks (a, b, c, d) of m, a
+    QMat2 or a tuple of four 4-tuples.
 
     slash(x) has blocks (x0, -bx; conj(bx), -x0), so x0 = (a.s - d.s)/2
-    and bx = (conj(c) - b)/2.  Rejects matrices outside the slash image
-    (reconstruction is checked at tol relative to the matrix scale).
+    and bx = (conj(c) - b)/2.  One pass over the 16 block floats takes
+    each component of slash(x) - m and rejects the matrix unless the
+    largest is within tol * max(1, m.max_norm()); a NaN anywhere makes
+    that defect NaN, and it is rejected.
     """
-    bx = (m.c.conj() - m.b).scale(0.5)
-    x = np.array([0.5 * (m.a.s - m.d.s), bx.x, bx.y, bx.z, bx.s])
-    defect = (slash(x) - m).max_norm()
-    if defect > tol * max(1.0, m.max_norm()):
+    a, b, c, d = m
+    v = (*a, *b, *c, *d)
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = v
+    x0 = 0.5 * (a0 - d0)
+    x4, x1, x2, x3 = 0.5 * (c0 - b0), 0.5 * (-c1 - b1), 0.5 * (-c2 - b2), 0.5 * (-c3 - b3)
+    defect = _max_abs((x0 - a0, a1, a2, a3, -x4 - b0, -x1 - b1, -x2 - b2, -x3 - b3,
+                       x4 - c0, -x1 - c1, -x2 - c2, -x3 - c3, -x0 - d0, d1, d2, d3))
+    if not defect <= tol * max(1.0, *map(abs, v)):
         raise ValueError(f"matrix is not in the slash image (defect {defect:.3e})")
-    return x
-
+    return np.array([x0, x1, x2, x3, x4])

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gamma import DSPoint, QMat2, gamma, slash, unslash
+from .gamma import DSPoint, QMat2, _max_abs, _mul_add, gamma, unslash
 from .quaternion import (
     E1,
     ZERO,
@@ -81,22 +81,38 @@ def _qmat(g) -> QMat2:
 
 
 def is_member(m, tol: float = 1e-10) -> MembershipReport:
-    """Certify the unimodular and pseudo-unitarity conditions.
+    """Certify the unimodular and pseudo-unitarity conditions in one pass
+    over the 16 block floats; never raises, the report carries failure.
 
     The Study determinant is the pivoted Schur complement form
     |a|^2 |d - c conj(a) b / |a|^2|^2 (Aslaksen, "Quaternionic determinants",
     1996), with the block rows swapped first when |c| > |a|, which leaves it
-    unchanged; the unpivoted expansion would cancel like eps |m|^4.
-    Returns both residuals; never raises, the report carries failure.
+    unchanged; the unpivoted expansion would cancel like eps |m|^4.  The
+    defect of dagger(m) gamma^0 m - gamma^0 is four _mul_add calls, the
+    conjugations and the signs of gamma^0 m = (a, b; -c, -d) folded into
+    their arguments; it is NaN if the sandwich holds a NaN.  Both residuals
+    are bitwise those of the QMat2 route, tests/oracles.py::is_member_via_qmat.
     """
-    m = _qmat(m)
-    a, b, c, d = (m.c, m.d, m.a, m.b) if m.c.norm2() > m.a.norm2() else m
-    n = a.norm2()
-    det = 0.0 if n == 0.0 else n * (d - (c * a.conj() * b).scale(1.0 / n)).norm2()
+    a, b, c, d = _qmat(m)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a, b, c, d
+    ca, cb, nc = (a0, -a1, -a2, -a3), (b0, -b1, -b2, -b3), (-c0, -c1, -c2, -c3)
+    cc, cd, nd = (c0, -c1, -c2, -c3), (d0, -d1, -d2, -d3), (-d0, -d1, -d2, -d3)
+    s11, s12 = _mul_add(ca, a, cc, nc), _mul_add(ca, b, cc, nd)
+    s21, s22 = _mul_add(cb, a, cd, nc), _mul_add(cb, b, cd, nd)
+    unit_defect = float(_max_abs((s11[0] - 1.0, *s11[1:], *s12, *s21, s22[0] + 1.0, *s22[1:])))
+    if c.norm2() > a.norm2():  # swap the block rows
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = c, d, a, b
+    n, det = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3, 0.0
+    if n != 0.0:  # y = c conj(a), the signs of conj(a) folded into the products
+        y0, y1 = c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3, a0 * c1 - c0 * a1 - c2 * a3 + c3 * a2
+        y2, y3 = a0 * c2 - c0 * a2 - c3 * a1 + c1 * a3, a0 * c3 - c0 * a3 - c1 * a2 + c2 * a1
+        k = 1.0 / n  # e = d - k y b
+        e0 = d0 - k * (y0 * b0 - y1 * b1 - y2 * b2 - y3 * b3)
+        e1 = d1 - k * (y0 * b1 + b0 * y1 + y2 * b3 - y3 * b2)
+        e2 = d2 - k * (y0 * b2 + b0 * y2 + y3 * b1 - y1 * b3)
+        e3 = d3 - k * (y0 * b3 + b0 * y3 + y1 * b2 - y2 * b1)
+        det = n * (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
     det_defect = float(abs(det - 1.0))
-    # gamma^0 m written as sign flips of the lower block row
-    sandwich = m.dagger() @ QMat2(m.a, m.b, -m.c, -m.d)
-    unit_defect = float((sandwich - _G0).max_norm())
     return MembershipReport(det_defect, unit_defect, tol,
                             bool(det_defect <= tol and unit_defect <= tol))
 
@@ -121,8 +137,23 @@ def inverse(g: GroupElement) -> GroupElement:
 
 
 def act_vector(g, x) -> np.ndarray:
-    """Action on a raw 5-vector through conjugation of its slash matrix."""
-    return unslash(_qmat(g) @ slash(x) @ inverse(g).m)
+    """Action on a raw 5-vector: unslash(g slash(x) g^-1), with x converted to
+    floats once and the two products as eight _mul_add calls on float
+    4-tuples, the signs of slash(x) = (x0, -bx; conj(bx), -x0), bx = (x4, x1,
+    x2, x3), and of the closed-form inverse folded in.  The result is bitwise
+    that of g @ slash(x) @ inverse(g).m (tests/oracles.py::act_vector_via_qmat)."""
+    x0, x1, x2, x3, x4 = np.asarray(x, dtype=float).tolist()
+    a, b, c, d = _qmat(g)
+    t, nt = (x0, 0.0, 0.0, 0.0), (-x0, -0.0, -0.0, -0.0)
+    nbx, cbx = (-x4, -x1, -x2, -x3), (x4, -x1, -x2, -x3)
+    p, q = _mul_add(a, t, b, cbx), _mul_add(a, nbx, b, nt)
+    r, s = _mul_add(c, t, d, cbx), _mul_add(c, nbx, d, nt)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a, b, c, d
+    # inverse(g) = (conj a, -conj c; -conj b, conj d)
+    ia, ib = (a0, -a1, -a2, -a3), (-c0, c1, c2, c3)
+    ic, id_ = (-b0, b1, b2, b3), (d0, -d1, -d2, -d3)
+    return unslash((_mul_add(p, ia, q, ic), _mul_add(p, ib, q, id_),
+                    _mul_add(r, ia, s, ic), _mul_add(r, ib, s, id_)))
 
 
 def act(g, p: DSPoint) -> DSPoint:

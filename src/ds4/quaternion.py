@@ -7,7 +7,8 @@ determinants are the Study determinant in closed form on the quaternionic
 blocks.  The scalar route runs on Python floats, since a numpy scalar makes
 every product after it slower; components are converted exactly where they
 enter (from_json, ensure_unit, ensure_pure_unit, random_unit,
-random_unit_vector, gamma.slash, group.decompose and orbits.orbit_matrix).
+random_unit_vector, gamma.slash, group.act_vector, group.decompose and
+orbits.orbit_matrix).
 The 2x2 complex embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k)
 serves only the matrix exponential and the independent cross-checks in the
 test suite.
@@ -102,7 +103,7 @@ def ensure_unit(q: Quaternion, tol: float = 1e-9) -> Quaternion:
     errors that would produce a genuinely non-unit value.
     """
     n = q.norm()
-    if abs(n - 1.0) > tol:
+    if not abs(n - 1.0) <= tol:
         raise ValueError(f"not a unit quaternion: |q| = {n!r}")
     t = 1.0 / n
     return Quaternion(t * float(q.s), t * float(q.x), t * float(q.y), t * float(q.z))
@@ -110,10 +111,10 @@ def ensure_unit(q: Quaternion, tol: float = 1e-9) -> Quaternion:
 
 def ensure_pure_unit(u: Quaternion, tol: float = 1e-9) -> Quaternion:
     """Validate a unit pure-vector quaternion (zero scalar part)."""
-    if abs(u.s) > tol:
+    if not abs(u.s) <= tol:
         raise ValueError(f"not a pure vector quaternion: scalar part {u.s!r}")
     n = math.hypot(u.x, u.y, u.z)
-    if abs(n - 1.0) > tol:
+    if not abs(n - 1.0) <= tol:
         raise ValueError(f"vector part not unit: |v| = {n!r}")
     return Quaternion(0.0, float(u.x) / n, float(u.y) / n, float(u.z) / n)
 

@@ -14,8 +14,15 @@ import numpy as np
 from scipy.linalg import expm
 
 from ds4 import orbits
-from ds4.gamma import ETA, QMat2, gamma
-from ds4.group import t_boost, t_space_rotation, t_space_translation, t_time_translation
+from ds4.gamma import ETA, QMat2, gamma, slash
+from ds4.group import (
+    MembershipReport,
+    inverse,
+    t_boost,
+    t_space_rotation,
+    t_space_translation,
+    t_time_translation,
+)
 from ds4.quaternion import Quaternion, embed, extract
 
 
@@ -68,6 +75,36 @@ def det_via_embedding(m: QMat2) -> float:
 def inverse_via_embedding(g) -> QMat2:
     G = (g.m if hasattr(g, "m") else g).embed()
     return QMat2.from_embedding(np.linalg.inv(G))
+
+
+def is_member_via_qmat(m, tol: float = 1e-10) -> MembershipReport:
+    """group.is_member as Quaternion and QMat2 expressions: the pivoted Schur
+    complement and the sandwich dagger(m) gamma^0 m - gamma^0 as QMat2 objects."""
+    m = m.m if hasattr(m, "m") else m
+    a, b, c, d = (m.c, m.d, m.a, m.b) if m.c.norm2() > m.a.norm2() else m
+    n = a.norm2()
+    det = 0.0 if n == 0.0 else n * (d - (c * a.conj() * b).scale(1.0 / n)).norm2()
+    det_defect = float(abs(det - 1.0))
+    sandwich = m.dagger() @ QMat2(m.a, m.b, -m.c, -m.d)
+    unit_defect = float((sandwich - gamma(0)).max_norm())
+    return MembershipReport(det_defect, unit_defect, tol,
+                            bool(det_defect <= tol and unit_defect <= tol))
+
+
+def unslash_via_qmat(m: QMat2, tol: float = 1e-10) -> np.ndarray:
+    """gamma.unslash checked by rebuilding slash(x) and subtracting m."""
+    bx = (m.c.conj() - m.b).scale(0.5)
+    x = np.array([0.5 * (m.a.s - m.d.s), bx.x, bx.y, bx.z, bx.s])
+    defect = (slash(x) - m).max_norm()
+    if defect > tol * max(1.0, m.max_norm()):
+        raise ValueError(f"matrix is not in the slash image (defect {defect:.3e})")
+    return x
+
+
+def act_vector_via_qmat(g, x) -> np.ndarray:
+    """group.act_vector as the QMat2 products g @ slash(x) @ inverse(g)."""
+    m = g.m if hasattr(g, "m") else g
+    return unslash_via_qmat(m @ slash(x) @ inverse(g).m)
 
 
 def reconstruct_via_products(f) -> QMat2:

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from ds4 import algebra, orbits
+from ds4 import algebra, batch, orbits
 from ds4.gamma import ETA, QMat2, anticommutator, dagger_identity_check, gamma, minkowski_square
 from ds4.group import (
     GroupElement,
@@ -20,7 +20,7 @@ from ds4.group import (
     t_space_translation,
     t_time_translation,
 )
-from ds4.quaternion import E2, E3, random_unit, random_unit_vector
+from ds4.quaternion import E2, E3
 from oracles import structure_rhs_oracle
 
 _PLANES = [(a, b) for a in range(5) for b in range(a + 1, 5)]
@@ -129,24 +129,33 @@ def test_criterion_5_decomposition_roundtrip():
 
 
 def test_criterion_6_orbit_conservation():
+    # the array route of the orbits suite, which tests/test_batch.py holds to
+    # the scalar adjoint, coordinates and residuals
     t0 = time.perf_counter()
     rng = np.random.default_rng(206)
+    n = 10_000
+
+    def worst_fraction(kappa, seed_of):
+        budget = 1e-9 * max(1.0, kappa**2)
+        worst = 0.0
+        for start in range(0, n, batch.CHUNK):
+            k = min(batch.CHUNK, n - start)
+            x = seed_of(k)
+            g = batch.members(rng, k)  # factor-built at even trials, exp-built at odd ones
+            r = batch.conservation_residuals(batch.to_coords(batch.adjoint(g, x)), kappa)
+            worst = max(worst, float(np.abs(r.r1).max()) / budget, float(np.abs(r.r2).max()) / budget)
+        return worst
+
+    def massless(k):
+        z = batch.random_unit(rng, k)
+        p = batch.random_unit(rng, k, 3) * rng.uniform(0.1, 2.0, k)[:, None]
+        return batch.orbit_matrix(z, p, 0.0)
+
     worst_frac = 0.0
     for kappa in (0.1, 1.0, 10.0):
-        seed_elt = orbits.base_element(kappa)
-        budget = 1e-9 * max(1.0, kappa**2)
-        for i in range(10_000):
-            X = orbits.adjoint(_mixed(rng, i), seed_elt)
-            r = orbits.conservation_residuals(orbits.to_coadjoint_coords(X), kappa)
-            worst_frac = max(worst_frac,
-                             max(float(np.abs(r.r1).max()), abs(r.r2)) / budget)
-    for i in range(10_000):
-        z = random_unit(rng)
-        p = random_unit_vector(rng).v * rng.uniform(0.1, 2.0)
-        X = orbits.adjoint(_mixed(rng, i), orbits.orbit_matrix(z, p, 0.0))
-        r = orbits.conservation_residuals(orbits.to_coadjoint_coords(X), 0.0)
-        worst_frac = max(worst_frac,
-                         max(float(np.abs(r.r1).max()), abs(r.r2)) / 1e-9)
+        seed_elt = np.reshape(orbits.base_element(kappa).m, (2, 2, 4))
+        worst_frac = max(worst_frac, worst_fraction(kappa, lambda k: seed_elt))
+    worst_frac = max(worst_frac, worst_fraction(0.0, massless))
     elapsed = time.perf_counter() - t0
     _verdict("criterion-6 orbit conservation", worst_frac < 1.0,
              f"10^4 transports per family (kappa 0.1/1/10 and massless), "

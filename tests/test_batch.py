@@ -205,6 +205,13 @@ def test_every_batched_check_rejects_a_single_bad_element(monkeypatch):
     z[6] *= 1.0 + 1e-8
     with pytest.raises(ValueError):
         batch.orbit_matrix(z, np.ones((8, 3)), 0.0)
+    nan = z / np.linalg.norm(z, axis=-1)[:, None]
+    nan[6, 2] = np.nan  # NaN fails the unit check, as in ensure_unit
+    for bad in (nan, nan[:, 1:]):
+        with pytest.raises(ValueError, match="not a unit quaternion"):
+            batch.unit(bad)
+    with pytest.raises(ValueError, match="not a unit quaternion"):
+        batch.orbit_matrix(nan, np.ones((8, 3)), 0.0)
     with pytest.raises(ValueError):
         batch.reconstruct(z, np.zeros(8), z / np.linalg.norm(z, axis=-1)[:, None],
                           np.zeros(8), np.ones((8, 3)) / np.sqrt(3.0))

@@ -126,6 +126,14 @@ def test_unslash_matches_trace_oracle():
 def test_unslash_rejects_off_image():
     with pytest.raises(ValueError):
         unslash(QMat2.identity())  # diagonal blocks with equal sign
+    # a NaN in any of the 16 components; max would drop all but the first
+    with pytest.raises(ValueError, match="defect nan"):
+        unslash(QMat2(Quaternion(1.0, np.nan, 0.0, 0.0), ZERO, ZERO, -ONE))
+    flat = [c for q in slash([0.5, 0.1, -0.2, 0.3, 1.2]) for c in q]
+    for k in range(16):
+        v = flat[:k] + [np.nan] + flat[k + 1:]
+        with pytest.raises(ValueError, match="defect nan"):
+            unslash(QMat2(*(Quaternion(*v[i:i + 4]) for i in range(0, 16, 4))))
 
 
 def test_det_matches_square_of_quadratic_form():
@@ -155,6 +163,10 @@ def test_ds_point_validation():
         DSPoint(np.zeros(4), 1.0)
     with pytest.raises(ValueError):
         DSPoint(np.zeros(5), -1.0)
+    for x, R, why in (([np.nan] * 5, np.nan, "radius"), (p.x, np.nan, "radius"),
+                      ([np.nan, 0.0, 0.0, 0.0, 3.0], 3.0, "hyperboloid")):
+        with pytest.raises(ValueError, match=why):
+            DSPoint(np.array(x), R)
     # tolerance is relative to R^2, so large radii accept the same
     # relative defect that small radii do
     R = 1e6

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ds4.gamma import QMat2, gamma, minkowski_square, origin, slash
+from ds4 import group
+from ds4.gamma import QMat2, gamma, minkowski_square, origin, slash, unslash
 from ds4.group import (
     DecompositionFactors,
     GroupElement,
@@ -40,12 +41,15 @@ from ds4.quaternion import (
     sqrt_unit,
 )
 from oracles import (
+    act_vector_via_qmat,
     act_via_embedding,
     det_via_embedding,
     inverse_via_embedding,
+    is_member_via_qmat,
     lorentz_factor_via_products,
     random_quaternion,
     reconstruct_via_products,
+    unslash_via_qmat,
 )
 
 EPS = np.finfo(float).eps
@@ -242,7 +246,9 @@ def test_reconstruct_keeps_the_factor_checks():
     for bad in (DecompositionFactors(w.scale(1.1), 0.5, v, 1.0, u),
                 DecompositionFactors(w, 0.5, v.scale(0.9), 1.0, u),
                 DecompositionFactors(w, 0.5, v, 1.0, Quaternion(0.3, *u.v.tolist())),
-                DecompositionFactors(w, 0.5, v, 1.0, u.scale(1.1))):
+                DecompositionFactors(w, 0.5, v, 1.0, u.scale(1.1)),
+                DecompositionFactors(Quaternion(math.nan, 0.0, 0.0, 0.0), 0.5, v, 1.0, u),
+                DecompositionFactors(w, 0.5, v, 1.0, Quaternion(0.0, math.nan, 0.0, 0.0))):
         with pytest.raises(ValueError):
             reconstruct(bad)
 
@@ -271,7 +277,7 @@ def test_closed_forms_match_the_generic_products(psi, phi, seed):
     assert (L - lorentz_factor_via_products(g, f.w, psi)).max_norm() <= 32 * EPS * math.exp(0.5 * abs(psi)) * M
 
 
-def test_scalar_route_runs_on_python_floats():
+def test_scalar_route_runs_on_python_floats(monkeypatch):
     # factors and points built from numpy arrays, as a caller holding arrays would
     rng = np.random.default_rng(49)
     unit = [x / np.linalg.norm(x) for x in rng.normal(size=(3, 4))]
@@ -281,9 +287,107 @@ def test_scalar_route_runs_on_python_floats():
     g = reconstruct(f)
     d = decompose(g)
     X = orbit_matrix(Quaternion(*unit[0]), unit[1][1:], np.float64(0.5))
+    # act_vector hands its product to unslash; x enters as an array and as np.float64 items
+    moved = []
+    monkeypatch.setattr(group, "unslash", lambda m: moved.append(m) or unslash(m))
+    act_vector(g, x)
+    act_vector(g, list(x.astype(np.float32)))
     components = [*(c for q in g.m for c in q), *(c for q in slash(x) for c in q),
-                  *d.w, d.psi, *d.v, d.phi, *d.u, *(c for q in X.m for c in q)]
+                  *d.w, d.psi, *d.v, d.phi, *d.u, *(c for q in X.m for c in q),
+                  *(c for m in moved for q in m for c in q)]
+    assert len(moved) == 2
     assert all(type(c) is float for c in components), [type(c) for c in components]
+
+
+# ---------------------------------------------------------------------------
+# the one-pass routes against their QMat2 compositions (tests/oracles.py),
+# bit for bit: the same operations in the same order, signed zeros included
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _outcome(fn, *args):
+    """The result's bytes, or the message of the ValueError it raised."""
+    try:
+        out = fn(*args)
+    except ValueError as err:
+        return str(err)
+    if isinstance(out, tuple):  # a MembershipReport
+        return _bits(out[:2]), out.tol, out.passed
+    return _bits(out)
+
+
+def _general_matrices(rng, n):
+    """Random matrices off the group, half with |c| > |a| (the row swap), the
+    gamma matrices (a = 0), and one with a = c = 0 (n == 0)."""
+    out = [gamma(k) for k in range(5)] + [QMat2(ZERO, ONE, ZERO, ONE), QMat2.identity()]
+    for _ in range(n):
+        a, b, c, d = (random_quaternion(rng, 2.0) for _ in range(4))
+        out += [QMat2(a, b, c, d), QMat2(a.scale(0.1), b, c, d)]
+    return out
+
+
+def _bitwise_members(rng, n):
+    gs = [random_member(rng, "exp" if i % 2 else "factors").m for i in range(n)]
+    return gs + [compose(t_time_translation(15.0), t_boost(1.0, E2)).m, gamma(0),
+                 QMat2.identity(), t_time_translation(1.3).m, t_boost(2.0, E2).m]
+
+
+def test_one_pass_routes_are_bitwise_the_qmat_routes():
+    rng = np.random.default_rng(53)
+    members, general = _bitwise_members(rng, 200), _general_matrices(rng, 100)
+    assert any(m.c.norm2() > m.a.norm2() for m in general)
+    for m in members + general:
+        assert _outcome(is_member, m) == _outcome(is_member_via_qmat, m)
+        assert _outcome(unslash, m) == _outcome(unslash_via_qmat, m)
+        for x in (random_ds_point(rng, 2.0).x, rng.normal(size=5), origin(1.0).x, np.zeros(5)):
+            assert _outcome(act_vector, m, x) == _outcome(act_vector_via_qmat, m, x)
+            assert _outcome(unslash, slash(x)) == _outcome(unslash_via_qmat, slash(x))
+    assert sum(is_member(m).passed for m in members) == len(members) - 1  # T_tt(15) T_bt(1, e2)
+    # off the group the conjugation leaves the slash image, and both routes say so
+    raised = [_outcome(act_vector, m, origin(1.0).x) for m in general]
+    assert sum(isinstance(r, str) for r in raised) >= 100
+
+
+def test_decompose_is_bitwise_the_qmat_routes(monkeypatch):
+    members = _bitwise_members(np.random.default_rng(54), 100)
+
+    def factors():  # T_tt(15) T_bt(1, e2) fails certification at 1e-10, so its message
+        return [_outcome(lambda g: [*(f := decompose(g)).w, f.psi, *f.v, f.phi, *f.u], m)
+                for m in members]
+
+    want = factors()
+    monkeypatch.setattr(group, "is_member", is_member_via_qmat)
+    monkeypatch.setattr(group, "act_vector", act_vector_via_qmat)
+    assert factors() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(["factors", "exp"]),
+       x=st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=5))
+def test_member_and_vector_property_is_bitwise_the_qmat_routes(seed, method, x):
+    g = random_member(np.random.default_rng(seed), method)
+    assert _outcome(is_member, g) == _outcome(is_member_via_qmat, g)
+    assert _outcome(act_vector, g, x) == _outcome(act_vector_via_qmat, g, x)
+    assert _outcome(unslash, slash(x)) == _outcome(unslash_via_qmat, slash(x))
+
+
+def test_nan_anywhere_fails_membership_and_the_action():
+    g = random_member(np.random.default_rng(55), "exp").m
+    flat = [c for q in g for c in q]
+    for k in range(16):
+        v = flat[:k] + [math.nan] + flat[k + 1:]
+        m = QMat2(*(Quaternion(*v[i:i + 4]) for i in range(0, 16, 4)))
+        rep = is_member(m)
+        assert math.isnan(rep.pseudo_unitarity_defect) and not rep.passed, k
+        with pytest.raises(NonMemberError):
+            decompose(m)
+    for k in range(5):
+        x = [0.0, 0.0, 0.0, 0.0, 1.0]
+        x[k] = math.nan
+        with pytest.raises(ValueError, match="slash image"):
+            act_vector(g, x)
 
 
 # ---------------------------------------------------------------------------

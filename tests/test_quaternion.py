@@ -130,6 +130,11 @@ def test_ensure_unit():
     assert ensure_unit(q).norm() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         ensure_unit(Quaternion(1.1, 0.0, 0.0, 0.0))
+    for q in (Quaternion(math.nan, 0.0, 0.0, 0.0), Quaternion(1.0, 0.0, math.nan, 0.0)):
+        with pytest.raises(ValueError):
+            ensure_unit(q)
+        with pytest.raises(ValueError):
+            sqrt_unit(q)
 
 
 def test_ensure_pure_unit():
@@ -140,6 +145,9 @@ def test_ensure_pure_unit():
         ensure_pure_unit(Quaternion(0.5, 0.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         ensure_pure_unit(Quaternion(0.0, 0.0, 2.0, 0.0))
+    for u in (Quaternion(math.nan, 0.0, 1.0, 0.0), Quaternion(0.0, 0.0, math.nan, 0.0)):
+        with pytest.raises(ValueError):
+            ensure_pure_unit(u)
 
 
 def test_json_roundtrip():
