@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gamma import ETA, QMat2, slash, unslash
+from .gamma import ETA, QMat2, _max_abs, slash, unslash
 from .group import GroupElement, certified
 from .quaternion import E1, E2, E3, ONE, ZERO, Quaternion
 
@@ -35,10 +35,11 @@ class AlgebraElement(NamedTuple):
     m: QMat2
 
     @classmethod
-    def from_qmat(cls, m: QMat2, tol: float = 1e-12) -> "AlgebraElement":
-        """Validate the block shape (relative to the matrix scale)."""
+    def from_qmat(cls, m: QMat2) -> "AlgebraElement":
+        """Validate the block shape at 1e-12 relative to the matrix scale.  A
+        NaN anywhere fails: _max_abs keeps it, and so does max in first place."""
         res = shape_residual(m)
-        if res > tol * max(1.0, m.max_norm()):
+        if not res <= 1e-12 * max(_max_abs((*m.a, *m.b, *m.c, *m.d)), 1.0):
             raise ValueError(f"matrix is not in the algebra shape (defect {res:.3e})")
         return cls(m)
 
@@ -57,7 +58,7 @@ def shape_residual(m: QMat2) -> float:
     Diagonal blocks must be pure vectors and the lower-left block must be
     the quaternionic conjugate of the upper-right one.
     """
-    return max(abs(m.a.s), abs(m.d.s), (m.c - m.b.conj()).max_abs())
+    return _max_abs((m.a.s, m.d.s, *(m.c - m.b.conj())))
 
 
 def from_coords(a, j, d0, d) -> AlgebraElement:
@@ -124,7 +125,7 @@ def k_generator(alpha: int, beta: int) -> AlgebraElement:
 def bracket(X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
     """Commutator XY - YX; the result is checked against the algebra shape."""
     m = X.m @ Y.m - Y.m @ X.m
-    return AlgebraElement.from_qmat(m, tol=1e-12)
+    return AlgebraElement.from_qmat(m)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,18 @@ def intertwining_residual(label1: str, label2: str) -> float:
 # ---------------------------------------------------------------------------
 # Exponential map
 
+_I4 = np.eye(4)
+#: _T[i] is the 4x4 matrix of left multiplication by the i-th basis unit.
+_T = np.array([[Quaternion(*e) * Quaternion(*f) for f in _I4] for e in _I4]).swapaxes(1, 2)
+
+
+def left_matrices(m) -> np.ndarray:
+    """(..., 8, 8) real matrices of n -> m n on the stacked columns of n, for
+    (..., 2, 2, 4) blocks m: block (i, j) is the 4x4 matrix of q -> m_ij q."""
+    left = (m @ _T.reshape(4, 16)).reshape(m.shape[:-1] + (4, 4))
+    return left.swapaxes(-3, -2).reshape(m.shape[:-3] + (8, 8))
+
+
 #: _TAYLOR[j, i] = 1/(4j + i)! up to degree 17 and 0 beyond, so that the
 #: Taylor polynomial sum_k B^k/k! is sum_j (sum_i _TAYLOR[j, i] B^i) (B^4)^j.
 _TAYLOR = np.array([[1.0 / math.factorial(k) if k <= 17 else 0.0 for k in range(4 * j, 4 * j + 4)]
@@ -243,34 +256,31 @@ _TAYLOR = np.array([[1.0 / math.factorial(k) if k <= 17 else 0.0 for k in range(
 _I8 = np.eye(8)
 
 
-def _expm4(A: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential of complex 4x4 matrices over
-    leading axes.
+def _exp_left(m) -> np.ndarray:
+    """Scaling-and-squaring Taylor exponential of the left-multiplication
+    matrices of (..., 2, 2, 4) blocks, as (..., 8, 8) arrays.
 
-    Each matrix is scaled by its own power of two 2^s to max-norm <= 1/2,
-    the degree-17 Taylor polynomial is evaluated there, and the result is
-    squared s times.  The polynomial is evaluated by Paterson-Stockmeyer on
-    the real form [[Re B, -Im B], [Im B, Re B]]: the powers I, B, B^2, B^3
-    and B^4, five chunk sums from one product with _TAYLOR, and a Horner
-    loop in B^4, 7 real 8x8 matrix products in all.
+    Each matrix is scaled by its own power of two 2^s so that its largest
+    block component is <= 1/2, the degree-17 Taylor polynomial is evaluated
+    there, and the result is squared s times.  The polynomial is evaluated
+    by Paterson-Stockmeyer: the powers I, B, B^2, B^3 and B^4, five chunk
+    sums from one product with _TAYLOR, and a Horner loop in B^4, 7 real 8x8
+    matrix products in all.
 
-    On a 4x4 matrix a max-norm of 1/2 bounds only ||B||_2 <= 2, where the
-    dropped terms are bounded by sum_{k>=18} 2^k/k! = 4.6e-11: a bound far
-    above round-off, not the error.  The algebra's elements sit well inside
-    it, and the measured error against scipy.linalg.expm is at round-off
-    (tests/test_algebra.py::test_expm4_against_scipy).  Squaring multiplies
+    A block L(q) has 2-norm |q| <= 1 when q's components are at most 1/2,
+    so ||B||_2 <= 2, where the dropped terms are bounded by
+    sum_{k>=18} 2^k/k! = 4.6e-11: a bound far above round-off, not the
+    error.  The algebra's elements sit well inside it, and the measured
+    error against scipy.linalg.expm is at round-off
+    (tests/test_algebra.py::test_expm_against_scipy).  Squaring multiplies
     a relative error by about 2^s.
     """
-    nrm = np.abs(A).max(axis=(-2, -1))
-    s = np.ceil(np.log2(np.maximum(nrm, 0.5) / 0.5))
-    B = A / (2.0 ** s)[..., None, None]
-    lead = A.shape[:-2]
+    s = np.ceil(np.log2(np.maximum(np.abs(m).max(axis=(-3, -2, -1)), 0.5) / 0.5))
+    lead = m.shape[:-3]
     P = np.empty(lead + (4, 8, 8))
     P[..., 0, :, :] = _I8
     R = P[..., 1, :, :]
-    R[..., :4, :4] = R[..., 4:, 4:] = B.real
-    R[..., 4:, :4] = B.imag
-    R[..., :4, 4:] = -B.imag
+    np.divide(left_matrices(m), (2.0 ** s)[..., None, None], out=R)
     np.matmul(R, R, out=P[..., 2, :, :])
     np.matmul(P[..., 2, :, :], R, out=P[..., 3, :, :])
     B4 = P[..., 2, :, :] @ P[..., 2, :, :]
@@ -282,19 +292,31 @@ def _expm4(A: np.ndarray) -> np.ndarray:
         out += C[..., j, :, :]
     for i in range(int(s.max(initial=0.0))):
         out = np.where((s > i)[..., None, None], out @ out, out)
-    return out[..., :4, :4] + 1j * out[..., 4:, :4]
+    return out
+
+
+def _expm(m) -> np.ndarray:
+    """exp of (..., 2, 2, 4) quaternionic matrices, as the blocks q read off
+    the first column of each 4x4 block of _exp_left, since L(q) e_0 = q.
+    Rejected unless every entry of every 4x4 block is within
+    1e-9 max(1, largest |q_k|) of L(q); a NaN fails."""
+    E = _exp_left(m)
+    q = E[..., ::4].reshape(E.shape[:-2] + (2, 4, 2)).swapaxes(-2, -1).copy()
+    a = np.abs(q)
+    scale = np.maximum(np.maximum(a[..., 0], a[..., 1]), np.maximum(a[..., 2], a[..., 3]))
+    defect = np.abs(E - left_matrices(q)).reshape(E.shape[:-2] + (2, 4, 2, 4))
+    if not (defect <= 1e-9 * np.maximum(1.0, scale)[..., :, None, :, None]).all():
+        raise ValueError(f"matrix is not in the quaternion image (defect {defect.max():.3e})")
+    return q
 
 
 def exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:
-    """Group element exp(t X), computed in the complex embedding.
-
-    The result is mapped back to quaternionic blocks and certified as a
-    member; exp(theta X_k), exp(psi X0), exp(theta Y_k) and exp(phi Z_k)
-    reproduce the corresponding one-parameter subgroups.
+    """Group element exp(t X), computed by _expm on the quaternion blocks and
+    certified as a member; exp(theta X_k), exp(psi X0), exp(theta Y_k) and
+    exp(phi Z_k) reproduce the corresponding one-parameter subgroups.
     """
-    E4 = _expm4(X.m.scale(float(t)).embed())
-    m = QMat2.from_embedding(E4, tol=1e-9)
-    return certified(m, 1e-10)
+    E = _expm(np.reshape(X.m.scale(t), (2, 2, 4)))
+    return certified(QMat2(*map(Quaternion._make, E.reshape(4, 4).tolist())), 1e-10)
 
 
 def random_element(rng: np.random.Generator) -> AlgebraElement:

@@ -3,14 +3,15 @@ the records of `ds4 orbit`.
 
 A quaternion is a (..., 4) float64 array (s, x, y, z) and a 2x2
 quaternionic matrix a (..., 2, 2, 4) array of blocks [[a, b], [c, d]].
-Matrix products contract with the constant structure tensor of the
-quaternions, so a call costs a few numpy calls whatever the number of
-elements; quaternion products are written out component by component,
-with the operations of Quaternion.__mul__ in their order, so they are
-bitwise the scalar ones.  Each routine is the twin of the scalar one it
-names, which stays the route for single elements and the reference the
-tests hold this one to.  Every check of the scalar route runs on every
-element, and a failure raises the scalar route's exception.
+Matrix products and the exponential run on the real 8x8
+left-multiplication matrices of the blocks (algebra.left_matrices), so a
+call costs a few numpy calls whatever the number of elements; quaternion
+products are written out component by component, with the operations of
+Quaternion.__mul__ in their order, so they are bitwise the scalar ones.
+Each routine is the twin of the scalar one it names, which stays the route
+for single elements and the reference the tests hold this one to.  Every
+check of the scalar route runs on every element, and a failure raises the
+scalar route's exception.
 """
 
 from __future__ import annotations
@@ -20,18 +21,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .algebra import _expm4
-from .gamma import embed_blocks, extract_blocks
+from .algebra import _I4, _expm, left_matrices
 from .group import MembershipReport, NonMemberError
 from .orbits import ConservationResiduals, _dot, casimir_defect, cross
-from .quaternion import Quaternion
 
 #: Trials per array in a suite run; bounds the peak memory.
 CHUNK = 256
 
-_I4 = np.eye(4)
-#: _T[i] is the 4x4 matrix of left multiplication by the i-th basis unit.
-_T = np.array([[Quaternion(*e) * Quaternion(*f) for f in _I4] for e in _I4]).swapaxes(1, 2)
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 _G0 = np.diag([1.0, -1.0])[..., None] * _I4[0]
 
@@ -39,11 +35,6 @@ _G0 = np.diag([1.0, -1.0])[..., None] * _I4[0]
 def blocks(a, b, c, d) -> np.ndarray:
     """Stack (..., 4) quaternion arrays into (..., 2, 2, 4) matrices."""
     return np.stack((np.stack((a, b), -2), np.stack((c, d), -2)), -3)
-
-
-def _left(p) -> np.ndarray:
-    """(..., 4, 4) matrices of left multiplication by the quaternions p."""
-    return (p @ _T.reshape(4, 16)).reshape(p.shape[:-1] + (4, 4))
 
 
 def mul(p, q) -> np.ndarray:
@@ -59,8 +50,7 @@ def mul(p, q) -> np.ndarray:
 def matmul(m, n) -> np.ndarray:
     """Matrix products m n (QMat2.__matmul__): the 8x8 real left-multiplication
     matrix of m times the stacked columns of n."""
-    left = _left(m).swapaxes(-3, -2).reshape(m.shape[:-3] + (8, 8))
-    out = left @ n.swapaxes(-2, -1).reshape(n.shape[:-3] + (8, 2))
+    out = left_matrices(m) @ n.swapaxes(-2, -1).reshape(n.shape[:-3] + (8, 2))
     return out.reshape(out.shape[:-2] + (2, 4, 2)).swapaxes(-2, -1)
 
 
@@ -81,10 +71,10 @@ def inverse(m) -> np.ndarray:
     return dagger(m) * np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
 
 
-def unit(q, tol: float = 1e-9) -> np.ndarray:
-    """Normalize each q, rejecting a norm off 1 by more than tol (ensure_unit)."""
+def unit(q) -> np.ndarray:
+    """Normalize each q, rejecting a norm off 1 by more than 1e-9 (ensure_unit)."""
     n = np.sqrt(norm2(q))
-    bad = ~(np.abs(n - 1.0) <= tol)
+    bad = ~(np.abs(n - 1.0) <= 1e-9)
     if bad.any():
         raise ValueError(f"not a unit quaternion: |q| = {n[bad][0]!r}")
     return q / n[..., None]
@@ -111,13 +101,14 @@ def is_member(m) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(det - 1.0), np.abs(sandwich - _G0).max(axis=(-3, -2, -1))
 
 
-def certified(m, tol: float = 1e-10) -> np.ndarray:
-    """m, or NonMemberError with the first failing member's report (group.certified)."""
+def certified(m) -> np.ndarray:
+    """m, or NonMemberError with the first failing member's report
+    (group.certified at 1e-10)."""
     det, unit_defect = is_member(m)
-    bad = np.flatnonzero(~((det <= tol) & (unit_defect <= tol)))  # NaN fails, as in is_member
+    bad = np.flatnonzero(~((det <= 1e-10) & (unit_defect <= 1e-10)))  # NaN fails, as in is_member
     if bad.size:
         i = bad[0]
-        raise NonMemberError(MembershipReport(float(det[i]), float(unit_defect[i]), tol, False))
+        raise NonMemberError(MembershipReport(float(det[i]), float(unit_defect[i]), 1e-10, False))
     return m
 
 
@@ -148,16 +139,16 @@ def to_coords(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def exp(x) -> np.ndarray:
-    """exp of algebra elements through the 4x4 embedding, certified (algebra.exp)."""
-    return certified(extract_blocks(_expm4(embed_blocks(x)), 1e-9))
+    """exp of algebra elements by _expm, certified (algebra.exp)."""
+    return certified(_expm(x))
 
 
-def shape_checked(m, tol: float = 1e-12) -> np.ndarray:
+def shape_checked(m) -> np.ndarray:
     """m, or ValueError if an element is off the algebra shape by more than
-    tol relative to its scale (AlgebraElement.from_qmat)."""
+    1e-12 relative to its scale, or holds a NaN (AlgebraElement.from_qmat)."""
     res = np.maximum(np.abs(m[..., 0, 0, 0]), np.abs(m[..., 1, 1, 0]))
     res = np.maximum(res, np.abs(m[..., 1, 0, :] - conj(m[..., 0, 1, :])).max(-1))
-    if (res > tol * np.maximum(1.0, np.abs(m).max(axis=(-3, -2, -1)))).any():
+    if (~(res <= 1e-12 * np.maximum(1.0, np.abs(m).max(axis=(-3, -2, -1))))).any():
         raise ValueError(f"matrix is not in the algebra shape (defect {res.max():.3e})")
     return m
 

@@ -125,24 +125,32 @@ def _cmd_decompose(args) -> int:
         else:
             text = sys.stdin.read()
         g = GroupElement.from_json(json.loads(text, parse_constant=_reject_constant))
-    except (OSError, ValueError, KeyError, TypeError) as err:
+        if not np.isfinite(g.m).all():
+            raise ValueError("a block component is not finite in float64")
+    except (OSError, ArithmeticError, ValueError, KeyError, TypeError) as err:
         print(f"ds4 decompose: cannot parse input: {err}", file=sys.stderr)
         return 2
     try:
         factors = decompose(g, member_tol=_RECONSTRUCTION_TOL)
     except NonMemberError as err:
-        print(json.dumps(err.report.to_json()))
-        print("ds4 decompose: input is not an Sp(2,2) element", file=sys.stderr)
-        return 3
+        out, status = err.report.to_json(), 3
     except (ArithmeticError, RuntimeError, ValueError) as err:
         # A member at the tolerance can still fail a check of the factorization.
         print(f"ds4 decompose: the input cannot be factored: {err}", file=sys.stderr)
         return 3
-    residual = (reconstruct(factors).m - g.m).max_norm()
-    out = factors.to_json()
-    out["residual"] = residual
-    print(json.dumps(out))
-    return 0 if residual <= _RECONSTRUCTION_TOL else 1
+    else:
+        out = factors.to_json()
+        out["residual"] = (reconstruct(factors).m - g.m).max_norm()
+        status = 0 if out["residual"] <= _RECONSTRUCTION_TOL else 1
+    try:
+        line = _STRICT_JSON.encode(out)
+    except ValueError as err:
+        print(f"ds4 decompose: the input is too large for float64: {err}", file=sys.stderr)
+        return 2
+    print(line)
+    if status == 3:
+        print("ds4 decompose: input is not an Sp(2,2) element", file=sys.stderr)
+    return status
 
 
 def _cmd_orbit(args) -> int:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quaternion import ONE, ZERO, E1, E2, E3, Quaternion, embed, extract
+from .quaternion import ONE, ZERO, E1, E2, E3, Quaternion, embed
 
 #: Ambient Minkowski metric diag(1,-1,-1,-1,-1) as integer signs.
 ETA = (1, -1, -1, -1, -1)
@@ -100,10 +100,6 @@ class QMat2(NamedTuple):
         return embed_blocks(np.reshape(self, (2, 2, 4)))
 
     @classmethod
-    def from_embedding(cls, m: np.ndarray, tol: float = 1e-10) -> "QMat2":
-        return cls(*map(Quaternion._make, extract_blocks(m, tol).reshape(4, 4).tolist()))
-
-    @classmethod
     def identity(cls) -> "QMat2":
         return _QID
 
@@ -142,12 +138,6 @@ def embed_blocks(m) -> np.ndarray:
     """4x4 complex embeddings of (..., 2, 2, 4) quaternion blocks [[a, b], [c, d]]."""
     e = embed(m)  # axes (..., row block, column block, row, column)
     return e.swapaxes(-3, -2).reshape(e.shape[:-4] + (4, 4))
-
-
-def extract_blocks(m, tol: float = 1e-10) -> np.ndarray:
-    """Inverse of embed_blocks; each 2x2 block is checked on its own scale."""
-    m = np.asarray(m, dtype=complex)
-    return extract(m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2), tol)
 
 
 _QID = QMat2(ONE, ZERO, ZERO, ONE)

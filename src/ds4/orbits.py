@@ -90,7 +90,7 @@ def base_element(kappa: float) -> AlgebraElement:
 def adjoint(g: GroupElement, X: AlgebraElement) -> AlgebraElement:
     """Conjugation g X g^-1; stays in the algebra shape."""
     m = _qmat(g) @ X.m @ inverse(g).m
-    return AlgebraElement.from_qmat(m, tol=1e-12)
+    return AlgebraElement.from_qmat(m)
 
 
 def orbit_point_from_group(kappa: float, w: UnitQuaternion, phi: float,
@@ -120,8 +120,7 @@ def orbit_matrix(z: UnitQuaternion, p, kappa: float) -> AlgebraElement:
     pq = Quaternion(0.0, *p.tolist())
     p0 = math.hypot(kappa, math.sqrt(p.dot(p)))
     top = z.scale(p0)
-    return AlgebraElement.from_qmat(
-        QMat2(pq, top, top.conj(), -(z.conj() * pq * z)), tol=1e-12)
+    return AlgebraElement.from_qmat(QMat2(pq, top, top.conj(), -(z.conj() * pq * z)))
 
 
 def orbit_matrix_of(pt: OrbitPoint) -> AlgebraElement:

@@ -10,8 +10,8 @@ enter (from_json, ensure_unit, ensure_pure_unit, random_unit,
 random_unit_vector, gamma.slash, group.act_vector, group.decompose and
 orbits.orbit_matrix).
 The 2x2 complex embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k)
-serves only the matrix exponential and the independent cross-checks in the
-test suite.
+is kept for the independent cross-checks in the test suite; no route of the
+package computes in it.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def sqrt_unit(q: Quaternion) -> Quaternion:
 
 
 #: 1, e1, e2, e3 as row-major 2x2 complex matrices, e_k = (-1)^(k+1) i sigma_k,
-#: stored as interleaved (re, im) pairs so that both directions are real products.
+#: stored as interleaved (re, im) pairs so that embedding is one real product.
 _BASIS = np.array([[1, 0, 0, 1], [0, 1j, 1j, 0], [0, -1, 1, 0], [1j, 0, 0, -1j]]).view(float)
 
 
@@ -145,20 +145,6 @@ def embed(q) -> np.ndarray:
     """2x2 complex matrices of quaternions given as (..., 4) components."""
     q = np.asarray(q, dtype=float)
     return (q.reshape(-1, 4) @ _BASIS).view(complex).reshape(q.shape[:-1] + (2, 2))
-
-
-def extract(m, tol: float = 1e-10) -> np.ndarray:
-    """Inverse of embed over leading axes, (..., 2, 2) -> (..., 4).
-
-    Rejects the input if any matrix is outside the quaternion image, at
-    tol relative to that matrix's own largest entry.
-    """
-    m = np.ascontiguousarray(m, dtype=complex)
-    q = 0.5 * (m.reshape(-1, 4).view(float) @ _BASIS.T).reshape(m.shape[:-2] + (4,))
-    defect = np.abs(m - embed(q)).max(axis=(-2, -1))
-    if np.any(defect > tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))):
-        raise ValueError(f"matrix is not in the quaternion image (defect {defect.max():.3e})")
-    return q
 
 
 def random_unit(rng: np.random.Generator) -> Quaternion:

@@ -23,7 +23,32 @@ from ds4.group import (
     t_space_translation,
     t_time_translation,
 )
-from ds4.quaternion import Quaternion, embed, extract
+from ds4.quaternion import _BASIS, Quaternion, embed
+
+
+def extract(m, tol: float = 1e-10) -> np.ndarray:
+    """Inverse of embed over leading axes, (..., 2, 2) -> (..., 4).
+
+    Rejects the input if any matrix is outside the quaternion image, at
+    tol relative to that matrix's own largest entry.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    q = 0.5 * (m.reshape(-1, 4).view(float) @ _BASIS.T).reshape(m.shape[:-2] + (4,))
+    defect = np.abs(m - embed(q)).max(axis=(-2, -1))
+    if np.any(defect > tol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))):
+        raise ValueError(f"matrix is not in the quaternion image (defect {defect.max():.3e})")
+    return q
+
+
+def extract_blocks(m, tol: float = 1e-10) -> np.ndarray:
+    """Inverse of gamma.embed_blocks; each 2x2 block is checked on its own scale."""
+    m = np.asarray(m, dtype=complex)
+    return extract(m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2), tol)
+
+
+def qmat_from_embedding(m, tol: float = 1e-10) -> QMat2:
+    """Inverse of QMat2.embed."""
+    return QMat2(*map(Quaternion._make, extract_blocks(m, tol).reshape(4, 4).tolist()))
 
 
 def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
@@ -74,7 +99,7 @@ def det_via_embedding(m: QMat2) -> float:
 
 def inverse_via_embedding(g) -> QMat2:
     G = (g.m if hasattr(g, "m") else g).embed()
-    return QMat2.from_embedding(np.linalg.inv(G))
+    return qmat_from_embedding(np.linalg.inv(G))
 
 
 def is_member_via_qmat(m, tol: float = 1e-10) -> MembershipReport:

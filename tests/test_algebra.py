@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ds4
+from ds4 import algebra
 from ds4.algebra import (
     GENERATOR_LABELS,
     K_INDEX,
     AlgebraElement,
-    _expm4,
+    _expm,
     bracket,
     bracket_table_defect_so14,
     bracket_table_residual_quaternionic,
@@ -17,13 +23,14 @@ from ds4.algebra import (
     homomorphism_residual,
     intertwining_residual,
     k_generator,
+    left_matrices,
     random_element,
     shape_residual,
     slash_induced_matrix,
     so14_matrix,
     to_coords,
 )
-from ds4.gamma import ETA, QMat2
+from ds4.gamma import ETA, QMat2, embed_blocks
 from ds4.group import is_member, t_boost, t_space_rotation, t_space_translation, t_time_translation
 from ds4.quaternion import E1, E2, E3, ONE, ZERO, Quaternion
 from oracles import expm_via_pade, structure_rhs_oracle
@@ -137,6 +144,15 @@ def test_coords_match_generator_expansion():
 def test_shape_check_rejects_off_shape():
     with pytest.raises(ValueError):
         AlgebraElement.from_qmat(QMat2.identity())
+    m = np.reshape(from_coords([0.1, 0.2, 0.3], [0.4, 0.5, 0.6], 0.7, [0.8, 0.9, 1.0]).m, 16)
+    for k in range(16):  # a NaN fails wherever it sits, diagonal vector parts included
+        bad = m.copy()
+        bad[k] = np.nan
+        bad = QMat2(*map(Quaternion._make, bad.reshape(4, 4).tolist()))
+        with pytest.raises(ValueError, match="algebra shape"):
+            AlgebraElement.from_qmat(bad)
+        # the residual holds a NaN in a.s, b, c or d.s, which it constrains
+        assert math.isnan(shape_residual(bad)) == (k in (0, *range(4, 13)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,53 +274,84 @@ def test_exp_lands_in_the_group():
         assert rep.passed
 
 
-# Tolerance of _expm4 against scipy, fixed from the error analysis: the
+# Tolerance of _expm against scipy, fixed from the error analysis: the
 # evaluation is 7 real 8x8 products, each within gamma_8 = 8 eps of its
-# terms' magnitudes, so the polynomial at B = A/2^s is within 7 gamma_8 <
+# terms' magnitudes, so the polynomial at B = L/2^s is within 7 gamma_8 <
 # 64 eps of exp(B) relative to its scale, plus the Taylor remainder, at most
 # sum_{k>=18} ||B||_2^k/k!.  Each of the s squarings doubles a relative
 # error.  scipy's Pade route carries an error of the same order.
-EXPM4_EPS = 64
+EXPM_EPS = 64
 
 
-def _squarings(A) -> np.ndarray:
-    return np.ceil(np.log2(np.maximum(np.abs(A).max(axis=(-2, -1)), 0.5) / 0.5))
+def _squarings(m) -> np.ndarray:
+    return np.ceil(np.log2(np.maximum(np.abs(m).max(axis=(-3, -2, -1)), 0.5) / 0.5))
 
 
-def _expm4_tolerance(A) -> np.ndarray:
-    s = _squarings(A)
-    theta = np.linalg.norm(A / (2.0 ** s)[..., None, None], 2, axis=(-2, -1))
+def _expm_tolerance(m) -> np.ndarray:
+    s = _squarings(m)
+    theta = np.linalg.norm(embed_blocks(m) / (2.0 ** s)[..., None, None], 2, axis=(-2, -1))
     remainder = sum(theta**k / math.factorial(k) for k in range(18, 40))
-    return 2.0**s * (EXPM4_EPS * np.finfo(float).eps + remainder)
+    return 2.0**s * (EXPM_EPS * np.finfo(float).eps + remainder)
 
 
-def _expm4_cases() -> list[np.ndarray]:
+def _expm_cases() -> list[np.ndarray]:
     """Stacks of random elements at the scaling threshold and scaled x1,
     x10 and x40, and one of the zero matrix and the ten generators at t = +-2."""
     rng = np.random.default_rng(59)
-    raw = np.array([random_element(rng).m.embed() for _ in range(4 * 64)]).reshape(4, 64, 4, 4)
-    threshold = raw[0] * (0.5 / np.abs(raw[0]).max(axis=(-2, -1)))[:, None, None]
-    special = [QMat2.zero().embed()]
-    special += [generator(lab).m.scale(t).embed() for lab in GENERATOR_LABELS for t in (-2.0, 2.0)]
+    raw = np.array([np.reshape(random_element(rng).m, (2, 2, 4)) for _ in range(4 * 64)])
+    raw = raw.reshape(4, 64, 2, 2, 4)
+    threshold = raw[0] * (0.5 / np.abs(raw[0]).max(axis=(-3, -2, -1)))[:, None, None, None]
+    special = [np.zeros((2, 2, 4))]
+    special += [np.reshape(generator(lab).m.scale(t), (2, 2, 4))
+                for lab in GENERATOR_LABELS for t in (-2.0, 2.0)]
     return [threshold, raw[1], 10.0 * raw[2], 40.0 * raw[3], np.array(special)]
 
 
-def test_expm4_against_scipy():
-    # measured: error 2.2e-16 with ||B||_2 <= 1.21 at the threshold, and a worst
-    # err/tol of 0.06, on the x40 stack
-    cases = _expm4_cases()
+def test_expm_against_scipy():
+    # compared in the complex embedding, on scipy's Pade exponential there;
+    # measured: error 2.4e-16 with ||B||_2 <= 1.28 at the threshold, and a
+    # worst err/tol of 0.082, on the x40 stack
+    cases = _expm_cases()
     assert _squarings(cases[0]).max() <= 1 and _squarings(cases[3]).max() >= 5
-    for A in cases:
-        got, want = _expm4(A), expm_via_pade(A)
+    for m in cases:
+        got, want = embed_blocks(_expm(m)), expm_via_pade(embed_blocks(m))
         err = np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
-        assert (err <= _expm4_tolerance(A)).all(), (err / _expm4_tolerance(A)).max()
+        assert (err <= _expm_tolerance(m)).all(), (err / _expm_tolerance(m)).max()
 
 
-def test_expm4_single_matrix_equals_its_stacked_row():
-    for A in _expm4_cases():
-        stacked = _expm4(A)
-        for a, row in zip(A, stacked):
-            assert np.array_equal(_expm4(a), row)
+def test_expm_single_matrix_equals_its_stacked_row():
+    for m in _expm_cases():
+        stacked = _expm(m)
+        for a, row in zip(m, stacked):
+            assert np.array_equal(_expm(a), row)
+
+
+def test_expm_image_check_is_relative_to_each_block(monkeypatch):
+    # blocks 100 e3 and 1 on the diagonal: an entry pushed by 5e-8 is inside
+    # 1e-9 * 100 of L(100 e3) and outside 1e-9 of L(1)
+    m = np.zeros((2, 2, 4))
+    m[0, 0, 3], m[1, 1, 0] = 100.0, 1.0
+    pushed = left_matrices(m)
+    monkeypatch.setattr(algebra, "_exp_left", lambda a: pushed)
+    pushed[1, 2] += 5e-8
+    assert np.array_equal(_expm(m), m)
+    pushed[5, 6] += 5e-8
+    with pytest.raises(ValueError, match="quaternion image"):
+        _expm(m)
+
+
+def test_scipy_and_the_oracles_stay_out_of_the_package():
+    # scipy.linalg.expm is _expm's oracle; a fresh process shows what the package imports
+    code = ("import sys, ds4\n"
+            "from ds4 import algebra\n"
+            "algebra.exp(algebra.from_coords([0.3, 0, 0], [0, 0.2, 0], 0.5, [0, 0, 0.4]))\n"
+            "ds4.run_suite('orbits', trials=1)\n"
+            "print(sorted({'scipy', 'oracles'} & set(sys.modules)))\n")
+    path = [str(Path(ds4.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_algebra_json_roundtrip():

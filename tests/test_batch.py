@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ds4 import algebra, batch, group, orbits, suites
-from ds4.gamma import QMat2, embed_blocks, extract_blocks
+from ds4 import algebra, batch, gamma, group, orbits, quaternion, suites
+from ds4.gamma import QMat2
 from ds4.group import DecompositionFactors, NonMemberError
 from ds4.quaternion import Quaternion, random_unit, random_unit_vector
 
@@ -87,6 +87,19 @@ def test_exp_matches_scalar():
         assert np.array_equal(x[k], _arr(X))
         want = _arr(algebra.exp(X))
         assert np.abs(got[k] - want).max() <= 64 * EPS * _scale(want)
+
+
+def test_exp_routes_avoid_the_embedding(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("embedding route taken")
+
+    for module in (quaternion, gamma, algebra, batch):  # and each copy imported by name
+        for name in ("embed", "embed_blocks"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    c = np.random.default_rng(405).uniform(-1.0, 1.0, (8, 10))
+    x = batch.from_coords(c[:, 0:3], c[:, 3:6], c[:, 6], c[:, 7:10])
+    assert batch.exp(x).shape == x.shape
+    assert group.is_member(algebra.exp(algebra.AlgebraElement(_qmat(x[0])))).passed
 
 
 def test_adjoint_coords_and_ratio_match_scalar():
@@ -176,16 +189,22 @@ def test_one_perturbed_member_in_a_chunk_is_rejected():
 
 def test_every_batched_check_rejects_a_single_bad_element(monkeypatch):
     gs, G = _members(410, 16)
-    E = embed_blocks(G)
-    E[5, 0, 2] += 1e-6j  # one block of one member leaves the quaternion image
-    with pytest.raises(ValueError, match="quaternion image"):
-        extract_blocks(E, 1e-9)
+    E = algebra.left_matrices(G)
+    E[5, 2, 5] += 1e-6  # block (0, 1) of one member leaves the image of q -> L(q)
     with monkeypatch.context() as m:
-        m.setattr(batch, "_expm4", lambda a: E)
+        m.setattr(algebra, "_exp_left", lambda a: E)
         with pytest.raises(ValueError, match="quaternion image"):
             batch.exp(G)
+        m.setattr(algebra, "_exp_left", lambda a: E[5])
+        with pytest.raises(ValueError, match="quaternion image"):
+            algebra.exp(algebra.AlgebraElement(gs[5].m))
     X = _arr(orbits.base_element(10.0))
     Y = batch.adjoint(G, X)
+    for k in range(16):  # a NaN fails wherever it sits, diagonal vector parts included
+        bad = Y.reshape(16, 16).copy()
+        bad[3, k] = np.nan
+        with pytest.raises(ValueError, match="algebra shape"):
+            batch.shape_checked(bad.reshape(Y.shape))
     Y[3, 0, 0, 0] += 1e-9
     with pytest.raises(ValueError):
         batch.shape_checked(Y)

@@ -215,14 +215,27 @@ def test_decompose_parse_error_exits_two(capsys, monkeypatch):
     assert code == 2 and out == "" and err != ""
 
 
-@pytest.mark.parametrize("token", ["NaN", "-Infinity"])
-def test_decompose_non_finite_token_exits_two(capsys, monkeypatch, token):
-    # diag(2, 1) with a.s replaced by a token that strict JSON does not have
+def _diag_with_a_s(token: str) -> str:
+    """diag(2, 1) with a.s spelled as the given JSON token."""
     zero = '{"s": 0, "v": [0, 0, 0]}'
-    _feed(monkeypatch, f'{{"blocks": {{"a": {{"s": {token}, "v": [0, 0, 0]}}, "b": {zero}, '
-                       f'"c": {zero}, "d": {{"s": 1, "v": [0, 0, 0]}}}}}}')
+    return (f'{{"blocks": {{"a": {{"s": {token}, "v": [0, 0, 0]}}, "b": {zero}, '
+            f'"c": {zero}, "d": {{"s": 1, "v": [0, 0, 0]}}}}}}')
+
+
+@pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400",
+                                   pytest.param("1" + "0" * 400, id="10**400")])
+def test_decompose_non_finite_token_exits_two(capsys, monkeypatch, token):
+    # tokens that strict JSON does not have, and numbers beyond float64
+    _feed(monkeypatch, _diag_with_a_s(token))
     code, out, err = run_cli(capsys, "decompose")
-    assert code == 2 and out == "" and err != ""
+    assert code == 2 and out == "" and "cannot parse input" in err and "Traceback" not in err
+
+
+def test_decompose_report_beyond_float64_exits_two(capsys, monkeypatch):
+    # a finite input whose membership defects overflow
+    _feed(monkeypatch, _diag_with_a_s("1e200"))
+    code, out, err = run_cli(capsys, "decompose")
+    assert code == 2 and out == "" and "too large for float64" in err
 
 
 def test_decompose_missing_file_exits_two(capsys):

@@ -12,11 +12,10 @@ from ds4.quaternion import (
     embed,
     ensure_pure_unit,
     ensure_unit,
-    extract,
     random_unit,
     sqrt_unit,
 )
-from oracles import mul_via_embedding, random_quaternion
+from oracles import extract, mul_via_embedding, random_quaternion
 
 
 def test_identity_element():
