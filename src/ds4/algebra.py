@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gamma import ETA, QMat2, _max_abs, slash, unslash
+from .gamma import ETA, QMat2, slash, unslash
 from .group import GroupElement, certified
 from .quaternion import E1, E2, E3, ONE, ZERO, Quaternion
 
@@ -36,11 +36,8 @@ class AlgebraElement(NamedTuple):
 
     @classmethod
     def from_qmat(cls, m: QMat2) -> "AlgebraElement":
-        """Validate the block shape at 1e-12 relative to the matrix scale.  A
-        NaN anywhere fails: _max_abs keeps it, and so does max in first place."""
-        res = shape_residual(m)
-        if not res <= 1e-12 * max(_max_abs((*m.a, *m.b, *m.c, *m.d)), 1.0):
-            raise ValueError(f"matrix is not in the algebra shape (defect {res:.3e})")
+        """Wrap m once it passes the algebra-shape check (shape_checked)."""
+        shape_checked(m)
         return cls(m)
 
     def to_json(self) -> dict:
@@ -52,13 +49,32 @@ class AlgebraElement(NamedTuple):
         return from_coords(obj["a"], obj["j"], obj["d0"], obj["d"])
 
 
-def shape_residual(m: QMat2) -> float:
-    """Distance from the algebra block pattern.
+#: Algebra-shape tolerance, relative to max(1, the matrix's max-norm).
+SHAPE_TOL = 1e-12
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
-    Diagonal blocks must be pure vectors and the lower-left block must be
-    the quaternionic conjugate of the upper-right one.
-    """
-    return _max_abs((m.a.s, m.d.s, *(m.c - m.b.conj())))
+
+def _blocks(X) -> np.ndarray:
+    """(..., 2, 2, 4) blocks as given, or those of one QMat2 or AlgebraElement."""
+    return np.array(X).reshape(2, 2, 4) if isinstance(X, tuple) else X
+
+
+def shape_residual(m) -> np.ndarray:
+    """Distance from the algebra block pattern over leading axes (pure-vector
+    diagonal blocks, lower-left the conjugate of upper-right); NaN propagates."""
+    m = _blocks(m)
+    res = np.maximum(np.abs(m[..., 0, 0, 0]), np.abs(m[..., 1, 1, 0]))
+    return np.maximum(res, np.abs(m[..., 1, 0, :] - m[..., 0, 1, :] * _CONJ).max(-1))
+
+
+def shape_checked(m):
+    """m, or ValueError if a matrix is off the algebra shape by more than
+    SHAPE_TOL relative to its scale, which carries a NaN anywhere."""
+    b = _blocks(m)
+    res = shape_residual(b)
+    if not (res <= SHAPE_TOL * np.maximum(1.0, np.abs(b).max(axis=(-3, -2, -1)))).all():
+        raise ValueError(f"matrix is not in the algebra shape (defect {res.max():.3e})")
+    return m
 
 
 def from_coords(a, j, d0, d) -> AlgebraElement:
@@ -67,12 +83,13 @@ def from_coords(a, j, d0, d) -> AlgebraElement:
     return AlgebraElement(QMat2(_pure(a + j), top, top.conj(), _pure(j - a)))
 
 
-def to_coords(X: AlgebraElement) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Inverse of from_coords; exact on shape-valid elements."""
-    m = X.m if isinstance(X, AlgebraElement) else X
-    a = 0.5 * (m.a.v - m.d.v)
-    j = 0.5 * (m.a.v + m.d.v)
-    return a, j, m.b.s, m.b.v
+def to_coords(X) -> tuple[np.ndarray, np.ndarray, np.ndarray | float, np.ndarray]:
+    """(a, j, d0, d) read off (..., 2, 2, 4) blocks, or off one element with
+    d0 a float; the inverse of from_coords, exact on shape-valid elements."""
+    m = _blocks(X)
+    av, dv, b = m[..., 0, 0, 1:], m[..., 1, 1, 1:], m[..., 0, 1, :]
+    d0 = b[..., 0]
+    return 0.5 * (av - dv), 0.5 * (av + dv), d0 if np.ndim(d0) else float(d0), b[..., 1:]
 
 
 _GENERATORS = {}
@@ -296,10 +313,12 @@ def _exp_left(m) -> np.ndarray:
 
 
 def _expm(m) -> np.ndarray:
-    """exp of (..., 2, 2, 4) quaternionic matrices, as the blocks q read off
-    the first column of each 4x4 block of _exp_left, since L(q) e_0 = q.
-    Rejected unless every entry of every 4x4 block is within
-    1e-9 max(1, largest |q_k|) of L(q); a NaN fails."""
+    """exp of (..., 2, 2, 4) quaternionic matrices m, as the blocks q read off
+    the first column of each 4x4 block of _exp_left, since L(q) e_0 = q.  A
+    non-finite m is rejected, and so is a result with an entry of a 4x4 block
+    off L(q) by more than 1e-9 max(1, largest |q_k|), or NaN."""
+    if not np.isfinite(m).all():
+        raise ValueError("exp of a matrix with a NaN or infinite component")
     E = _exp_left(m)
     q = E[..., ::4].reshape(E.shape[:-2] + (2, 4, 2)).swapaxes(-2, -1).copy()
     a = np.abs(q)
@@ -316,7 +335,7 @@ def exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:
     exp(phi Z_k) reproduce the corresponding one-parameter subgroups.
     """
     E = _expm(np.reshape(X.m.scale(t), (2, 2, 4)))
-    return certified(QMat2(*map(Quaternion._make, E.reshape(4, 4).tolist())), 1e-10)
+    return certified(QMat2(*map(Quaternion._make, E.reshape(4, 4).tolist())))
 
 
 def random_element(rng: np.random.Generator) -> AlgebraElement:

@@ -9,9 +9,12 @@ call costs a few numpy calls whatever the number of elements; quaternion
 products are written out component by component, with the operations of
 Quaternion.__mul__ in their order, so they are bitwise the scalar ones.
 Each routine is the twin of the scalar one it names, which stays the route
-for single elements and the reference the tests hold this one to.  Every
-check of the scalar route runs on every element, and a failure raises the
-scalar route's exception.
+for single elements and the reference the tests hold this one to; the two
+read one tolerance constant.  Every check of the scalar route runs on every
+element, and a failure raises the scalar route's exception.  The algebra
+shape check, the (a, j, d0, d) chart and the orbit residuals are not
+twinned: one body serves both routes (algebra.shape_checked,
+algebra.to_coords, orbits.conservation_residuals).
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .algebra import _I4, _expm, left_matrices
-from .group import MembershipReport, NonMemberError
-from .orbits import ConservationResiduals, _dot, casimir_defect, cross
+from .algebra import _CONJ, _I4, _expm, left_matrices, shape_checked
+from .group import MEMBER_TOL, MembershipReport, NonMemberError
+from .orbits import _dot
+from .quaternion import UNIT_TOL
 
 #: Trials per array in a suite run; bounds the peak memory.
 CHUNK = 256
 
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 _G0 = np.diag([1.0, -1.0])[..., None] * _I4[0]
 
 
@@ -71,13 +74,17 @@ def inverse(m) -> np.ndarray:
     return dagger(m) * np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
 
 
-def unit(q) -> np.ndarray:
-    """Normalize each q, rejecting a norm off 1 by more than 1e-9 (ensure_unit)."""
-    n = np.sqrt(norm2(q))
-    bad = ~(np.abs(n - 1.0) <= 1e-9)
+def _unit_norms(n) -> np.ndarray:
+    """The norms n, or ValueError at the first off 1 by more than UNIT_TOL (ensure_unit)."""
+    bad = ~(np.abs(n - 1.0) <= UNIT_TOL)
     if bad.any():
         raise ValueError(f"not a unit quaternion: |q| = {n[bad][0]!r}")
-    return q / n[..., None]
+    return n
+
+
+def unit(q) -> np.ndarray:
+    """Normalize each q, rejecting a norm off 1 (ensure_unit)."""
+    return q / _unit_norms(np.sqrt(norm2(q)))[..., None]
 
 
 def random_unit(rng: np.random.Generator, n: int, dim: int = 4) -> np.ndarray:
@@ -103,12 +110,12 @@ def is_member(m) -> tuple[np.ndarray, np.ndarray]:
 
 def certified(m) -> np.ndarray:
     """m, or NonMemberError with the first failing member's report
-    (group.certified at 1e-10)."""
+    (group.certified at MEMBER_TOL)."""
     det, unit_defect = is_member(m)
-    bad = np.flatnonzero(~((det <= 1e-10) & (unit_defect <= 1e-10)))  # NaN fails, as in is_member
+    bad = np.flatnonzero(~((det <= MEMBER_TOL) & (unit_defect <= MEMBER_TOL)))  # NaN fails
     if bad.size:
         i = bad[0]
-        raise NonMemberError(MembershipReport(float(det[i]), float(unit_defect[i]), 1e-10, False))
+        raise NonMemberError(MembershipReport(float(det[i]), float(unit_defect[i]), MEMBER_TOL, False))
     return m
 
 
@@ -132,25 +139,9 @@ def from_coords(a, j, d0, d) -> np.ndarray:
                   np.concatenate((zero, j - a), -1))
 
 
-def to_coords(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a, j, d0, d) read off the blocks (algebra.to_coords)."""
-    av, dv, b = m[..., 0, 0, 1:], m[..., 1, 1, 1:], m[..., 0, 1, :]
-    return 0.5 * (av - dv), 0.5 * (av + dv), b[..., 0], b[..., 1:]
-
-
 def exp(x) -> np.ndarray:
     """exp of algebra elements by _expm, certified (algebra.exp)."""
     return certified(_expm(x))
-
-
-def shape_checked(m) -> np.ndarray:
-    """m, or ValueError if an element is off the algebra shape by more than
-    1e-12 relative to its scale, or holds a NaN (AlgebraElement.from_qmat)."""
-    res = np.maximum(np.abs(m[..., 0, 0, 0]), np.abs(m[..., 1, 1, 0]))
-    res = np.maximum(res, np.abs(m[..., 1, 0, :] - conj(m[..., 0, 1, :])).max(-1))
-    if (~(res <= 1e-12 * np.maximum(1.0, np.abs(m).max(axis=(-3, -2, -1))))).any():
-        raise ValueError(f"matrix is not in the algebra shape (defect {res.max():.3e})")
-    return m
 
 
 def adjoint(g, x) -> np.ndarray:
@@ -165,27 +156,13 @@ def orbit_matrix(z, p, kappa: float) -> np.ndarray:
     sqrt of the squared norm and np.hypot round differently."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    n = np.fromiter(map(math.hypot, *z.T.tolist()), float, len(z))
-    bad = ~(np.abs(n - 1.0) <= 1e-9)
-    if bad.any():
-        raise ValueError(f"not a unit quaternion: |q| = {n[bad][0]!r}")
+    n = _unit_norms(np.fromiter(map(math.hypot, *z.T.tolist()), float, len(z)))
     z = z * (1.0 / n)[:, None]
     norm_p = np.sqrt(_dot(p, p)).tolist()  # bitwise np.linalg.norm of each row
     p0 = np.fromiter(map(math.hypot, repeat(kappa), norm_p), float, len(p))
     pq = np.concatenate((np.zeros((len(p), 1)), p), -1)
     top = z * p0[:, None]
     return shape_checked(blocks(pq, top, conj(top), -mul(mul(conj(z), pq), z)))
-
-
-def conservation_residuals(coords, kappa: float) -> ConservationResiduals:
-    """The orbit conditions' defects of (n, ...) coordinates as arrays, row for
-    row bitwise orbits.conservation_residuals (r1 is d0 j - d x a where d0 = 0)."""
-    a, j, d0, d = coords
-    dxa = cross(d, a)
-    degenerate = d0 == 0.0
-    r1 = np.where(degenerate[:, None], d0[:, None] * j - dxa,
-                  j - dxa / np.where(degenerate, 1.0, d0)[:, None])
-    return ConservationResiduals(r1, casimir_defect(a, j, d0, d, kappa), degenerate)
 
 
 def members(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import orbits
+from . import algebra, orbits
 from .gamma import QMat2
 from .group import GroupElement, NonMemberError, decompose, reconstruct
 from .quaternion import Quaternion
@@ -185,8 +185,8 @@ def _orbit_lines(points, kappa: float, matrix: bool) -> list[str]:
         z = np.array([pt.z for pt in chunk])
         p = np.array([pt.p for pt in chunk])
         X = batch.orbit_matrix(z, p, kappa)
-        a, j, d0, d = batch.to_coords(X)
-        r1, r2, degenerate = batch.conservation_residuals((a, j, d0, d), kappa)
+        a, j, d0, d = algebra.to_coords(X)
+        r1, r2, degenerate = orbits.conservation_residuals((a, j, d0, d), kappa)
         matrices = X.reshape(-1, 4, 4).tolist() if matrix else [None] * len(chunk)
         for zk, pk, ak, jk, d0k, dk, r1k, r2k, degk, mk in zip(
                 z.tolist(), p.tolist(), a.tolist(), j.tolist(), d0.tolist(), d.tolist(),

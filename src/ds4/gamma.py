@@ -18,6 +18,8 @@ from .quaternion import ONE, ZERO, E1, E2, E3, Quaternion, embed
 
 #: Ambient Minkowski metric diag(1,-1,-1,-1,-1) as integer signs.
 ETA = (1, -1, -1, -1, -1)
+#: Slash-image tolerance of unslash, relative to max(1, the matrix's max-norm).
+SLASH_TOL = 1e-10
 
 
 def minkowski_square(x) -> float:
@@ -193,14 +195,14 @@ def _max_abs(v) -> float:
     return max(v) if total == total else total
 
 
-def unslash(m: QMat2, tol: float = 1e-10) -> np.ndarray:
+def unslash(m: QMat2) -> np.ndarray:
     """Invert the slash map by reading x off the blocks (a, b, c, d) of m, a
     QMat2 or a tuple of four 4-tuples.
 
     slash(x) has blocks (x0, -bx; conj(bx), -x0), so x0 = (a.s - d.s)/2
     and bx = (conj(c) - b)/2.  One pass over the 16 block floats takes
     each component of slash(x) - m and rejects the matrix unless the
-    largest is within tol * max(1, m.max_norm()); a NaN anywhere makes
+    largest is within SLASH_TOL * max(1, m.max_norm()); a NaN anywhere makes
     that defect NaN, and it is rejected.
     """
     a, b, c, d = m
@@ -210,6 +212,6 @@ def unslash(m: QMat2, tol: float = 1e-10) -> np.ndarray:
     x4, x1, x2, x3 = 0.5 * (c0 - b0), 0.5 * (-c1 - b1), 0.5 * (-c2 - b2), 0.5 * (-c3 - b3)
     defect = _max_abs((x0 - a0, a1, a2, a3, -x4 - b0, -x1 - b1, -x2 - b2, -x3 - b3,
                        x4 - c0, -x1 - c1, -x2 - c2, -x3 - c3, -x0 - d0, d1, d2, d3))
-    if not defect <= tol * max(1.0, *map(abs, v)):
+    if not defect <= SLASH_TOL * max(1.0, *map(abs, v)):
         raise ValueError(f"matrix is not in the slash image (defect {defect:.3e})")
     return np.array([x0, x1, x2, x3, x4])

@@ -31,6 +31,8 @@ from .quaternion import (
 _G0 = gamma(0)
 _SWAP = gamma(0) @ gamma(4)  # equals (0 1; 1 0)
 _ORIGIN1 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+#: Default bound on both membership defects (batch.certified too).
+MEMBER_TOL = 1e-10
 
 
 class NonMemberError(ValueError):
@@ -80,7 +82,7 @@ def _qmat(g) -> QMat2:
     return g.m if isinstance(g, GroupElement) else g
 
 
-def is_member(m, tol: float = 1e-10) -> MembershipReport:
+def is_member(m, tol: float = MEMBER_TOL) -> MembershipReport:
     """Certify the unimodular and pseudo-unitarity conditions in one pass
     over the 16 block floats; never raises, the report carries failure.
 
@@ -117,7 +119,7 @@ def is_member(m, tol: float = 1e-10) -> MembershipReport:
                             bool(det_defect <= tol and unit_defect <= tol))
 
 
-def certified(m, tol: float = 1e-10) -> GroupElement:
+def certified(m, tol: float = MEMBER_TOL) -> GroupElement:
     """Wrap a matrix as a group element, raising NonMemberError on failure."""
     report = is_member(m, tol)
     if not report.passed:
@@ -226,7 +228,7 @@ def _lorentz_factor(m: QMat2, w: Quaternion, psi: float) -> QMat2:
                  r.scale(ch) - p.scale(sh), t.scale(ch) - q.scale(sh))
 
 
-def decompose(g, member_tol: float = 1e-10) -> DecompositionFactors:
+def decompose(g, member_tol: float = MEMBER_TOL) -> DecompositionFactors:
     """Split g into space translation, time translation, rotation and boost.
 
     The factorization is not unique; this routine fixes one canonical
@@ -282,8 +284,7 @@ def decompose(g, member_tol: float = 1e-10) -> DecompositionFactors:
     nv = math.hypot(u_raw.x, u_raw.y, u_raw.z)
     if nv > 1e-12:
         phi = 2.0 * math.asinh(L.b.norm())
-        u = ensure_pure_unit(Quaternion(0.0, u_raw.x / nv, u_raw.y / nv, u_raw.z / nv),
-                             tol=1e-6)
+        u = ensure_pure_unit(Quaternion(0.0, u_raw.x / nv, u_raw.y / nv, u_raw.z / nv))
     else:
         phi, u = 0.0, E1
     return DecompositionFactors(w, psi, v, phi, u)

@@ -44,11 +44,11 @@ class OrbitPoint(NamedTuple):
 
 
 class CoadjointCoords(NamedTuple):
-    """Cartesian coordinates (a, j, d0, d) on the dual of the algebra."""
+    """Cartesian coordinates (a, j, d0, d) on the dual, for one point or over leading axes."""
 
     a: np.ndarray
     j: np.ndarray
-    d0: float
+    d0: float | np.ndarray
     d: np.ndarray
 
     def to_json(self) -> dict:
@@ -57,15 +57,15 @@ class CoadjointCoords(NamedTuple):
 
 
 class ConservationResiduals(NamedTuple):
-    """Defects of the two orbit conditions.
+    """Defects of the two orbit conditions, for one point or over leading axes.
 
     When d0 vanishes the first condition cannot be solved for j; r1 is
     then the unscaled residual d0 j - d x a and degenerate is set.
     """
 
     r1: np.ndarray
-    r2: float
-    degenerate: bool
+    r2: float | np.ndarray
+    degenerate: bool | np.ndarray
 
 
 class PhysicalState(NamedTuple):
@@ -153,17 +153,19 @@ def casimir_defect(a, j, d0, d, kappa: float):
 
 
 def conservation_residuals(coords: CoadjointCoords, kappa: float) -> ConservationResiduals:
-    """Defects of the two orbit conditions at the given kappa.
-
-    Off-orbit inputs are allowed; the residuals are a diagnostic, never
-    a gate.
-    """
+    """Defects of the two orbit conditions at the given kappa, over leading
+    axes (one point's r2 is a float, its flag a bool).  Off-orbit inputs are
+    allowed; the residuals are a diagnostic, never a gate."""
     a, j, d0, d = coords
-    r2 = casimir_defect(a, j, d0, d, kappa)
+    d0 = np.asarray(d0)
     dxa = cross(d, a)
-    if d0 == 0.0:
-        return ConservationResiduals(d0 * j - dxa, float(r2), True)
-    return ConservationResiduals(j - dxa / d0, float(r2), False)
+    degenerate = d0 == 0.0
+    r1 = np.where(degenerate[..., None], d0[..., None] * j - dxa,
+                  j - dxa / np.where(degenerate, 1.0, d0)[..., None])
+    r2 = casimir_defect(a, j, d0, d, kappa)
+    if d0.ndim:
+        return ConservationResiduals(r1, r2, degenerate)
+    return ConservationResiduals(r1, float(r2), bool(degenerate))
 
 
 def physicalize(coords: CoadjointCoords, m: float, c: float, R: float) -> PhysicalState:

@@ -8,7 +8,8 @@ blocks.  The scalar route runs on Python floats, since a numpy scalar makes
 every product after it slower; components are converted exactly where they
 enter (from_json, ensure_unit, ensure_pure_unit, random_unit,
 random_unit_vector, gamma.slash, group.act_vector, group.decompose and
-orbits.orbit_matrix).
+orbits.orbit_matrix) and where they leave the array bodies that also serve
+single elements (algebra.to_coords, orbits.conservation_residuals).
 The 2x2 complex embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k)
 is kept for the independent cross-checks in the test suite; no route of the
 package computes in it.
@@ -96,25 +97,25 @@ E2 = Quaternion(0.0, 0.0, 1.0, 0.0)
 E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def ensure_unit(q: Quaternion, tol: float = 1e-9) -> Quaternion:
-    """Normalize q to unit norm; reject if the defect exceeds tol.
+#: Largest |norm - 1| of a unit quaternion or direction, here and in batch.
+UNIT_TOL = 1e-9
 
-    The tolerance absorbs accumulated round-off without masking logic
-    errors that would produce a genuinely non-unit value.
-    """
+
+def ensure_unit(q: Quaternion) -> Quaternion:
+    """Normalize q to unit norm; reject a norm off 1 by more than UNIT_TOL."""
     n = q.norm()
-    if not abs(n - 1.0) <= tol:
+    if not abs(n - 1.0) <= UNIT_TOL:
         raise ValueError(f"not a unit quaternion: |q| = {n!r}")
     t = 1.0 / n
     return Quaternion(t * float(q.s), t * float(q.x), t * float(q.y), t * float(q.z))
 
 
-def ensure_pure_unit(u: Quaternion, tol: float = 1e-9) -> Quaternion:
-    """Validate a unit pure-vector quaternion (zero scalar part)."""
-    if not abs(u.s) <= tol:
+def ensure_pure_unit(u: Quaternion) -> Quaternion:
+    """Validate a unit pure-vector quaternion: |scalar part|, ||v| - 1| <= UNIT_TOL."""
+    if not abs(u.s) <= UNIT_TOL:
         raise ValueError(f"not a pure vector quaternion: scalar part {u.s!r}")
     n = math.hypot(u.x, u.y, u.z)
-    if not abs(n - 1.0) <= tol:
+    if not abs(n - 1.0) <= UNIT_TOL:
         raise ValueError(f"vector part not unit: |v| = {n!r}")
     return Quaternion(0.0, float(u.x) / n, float(u.y) / n, float(u.z) / n)
 

@@ -148,11 +148,9 @@ def suite_homomorphism(trials: int, rng) -> tuple[int, float]:
 def _conservation_ratio(X, kappa: float) -> float:
     """Worst orbit-condition defect of the (n, 2, 2, 4) transported points X
     as a fraction of the budget 1e-9 max(1, kappa^2)."""
-    from . import batch
-
     # The first orbit condition is held as d0 j - d x a: solving it for j
     # divides the round-off of d x a by d0, which misfires near d0 = 0.
-    a, j, d0, d = batch.to_coords(X)
+    a, j, d0, d = algebra.to_coords(X)
     r1 = d0[:, None] * j - orbits.cross(d, a)
     r2 = orbits.casimir_defect(a, j, d0, d, kappa)
     budget = 1e-9 * max(1.0, kappa**2)
@@ -190,7 +188,7 @@ def suite_orbits(trials: int, rng) -> tuple[int, float]:
     quartic_trials = max(1, trials // 5)
     x = np.reshape(orbits.base_element(1.0).m, (2, 2, 4))
     for y in transported(quartic_trials, lambda n: x):
-        st = orbits.physicalize(orbits.CoadjointCoords(*batch.to_coords(y)), 1.0, 1.0, 10.0)
+        st = orbits.physicalize(orbits.CoadjointCoords(*algebra.to_coords(y)), 1.0, 1.0, 10.0)
         worst = max(worst, float(np.abs(orbits.energy_quartic_residual(st)).max()) / 1e-8)
     return 4 * trials + quartic_trials, worst
 

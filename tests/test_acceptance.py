@@ -129,8 +129,8 @@ def test_criterion_5_decomposition_roundtrip():
 
 
 def test_criterion_6_orbit_conservation():
-    # the array route of the orbits suite, which tests/test_batch.py holds to
-    # the scalar adjoint, coordinates and residuals
+    # the array route of the orbits suite, whose adjoint tests/test_batch.py
+    # holds to the scalar one; coordinates and residuals have one body for both
     t0 = time.perf_counter()
     rng = np.random.default_rng(206)
     n = 10_000
@@ -142,7 +142,7 @@ def test_criterion_6_orbit_conservation():
             k = min(batch.CHUNK, n - start)
             x = seed_of(k)
             g = batch.members(rng, k)  # factor-built at even trials, exp-built at odd ones
-            r = batch.conservation_residuals(batch.to_coords(batch.adjoint(g, x)), kappa)
+            r = orbits.conservation_residuals(algebra.to_coords(batch.adjoint(g, x)), kappa)
             worst = max(worst, float(np.abs(r.r1).max()) / budget, float(np.abs(r.r2).max()) / budget)
         return worst
 

@@ -144,7 +144,8 @@ def test_coords_match_generator_expansion():
 def test_shape_check_rejects_off_shape():
     with pytest.raises(ValueError):
         AlgebraElement.from_qmat(QMat2.identity())
-    m = np.reshape(from_coords([0.1, 0.2, 0.3], [0.4, 0.5, 0.6], 0.7, [0.8, 0.9, 1.0]).m, 16)
+    X = from_coords([0.1, 0.2, 0.3], [0.4, 0.5, 0.6], 0.7, [0.8, 0.9, 1.0]).m  # max-norm 1
+    m = np.reshape(X, 16)
     for k in range(16):  # a NaN fails wherever it sits, diagonal vector parts included
         bad = m.copy()
         bad[k] = np.nan
@@ -153,6 +154,12 @@ def test_shape_check_rejects_off_shape():
             AlgebraElement.from_qmat(bad)
         # the residual holds a NaN in a.s, b, c or d.s, which it constrains
         assert math.isnan(shape_residual(bad)) == (k in (0, *range(4, 13)))
+    # the one shape tolerance, 1e-12 of max(1, max-norm), read by the array route too
+    for scale in (1.0, 100.0):
+        m = X.scale(scale)
+        AlgebraElement.from_qmat(m._replace(a=m.a._replace(s=0.5e-12 * scale)))
+        with pytest.raises(ValueError, match="algebra shape"):
+            AlgebraElement.from_qmat(m._replace(a=m.a._replace(s=2e-12 * scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +345,16 @@ def test_expm_image_check_is_relative_to_each_block(monkeypatch):
     pushed[5, 6] += 5e-8
     with pytest.raises(ValueError, match="quaternion image"):
         _expm(m)
+
+
+def test_exp_rejects_a_non_finite_input():
+    X = from_coords([0.3, 0.0, 0.0], [0.0, 0.2, 0.0], 0.5, [0.0, 0.0, 0.4])
+    for t in (math.nan, math.inf):  # t = inf holds 0 inf = NaN next to inf
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            exp(X, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="quaternion image"):  # finite input, overflow inside
+            exp(X, 1e6)
 
 
 def test_scipy_and_the_oracles_stay_out_of_the_package():

@@ -3,8 +3,9 @@
 Tolerances come from float64 round-off: a product entry is a sum of at
 most 8 terms, so two summation orders differ by at most 16 eps times the
 sum of their magnitudes, bounded below by the factors' max-norms.  Where
-both routes do the same operations (quaternion products, the orbit matrix
-and its residuals) the results must be equal.
+both routes do the same operations (quaternion products, the orbit matrix)
+the results must be equal.  The algebra-shape check, the chart and the
+orbit residuals have one body for both routes; here it runs on stacks.
 """
 
 import numpy as np
@@ -113,9 +114,6 @@ def test_adjoint_coords_and_ratio_match_scalar():
         for g, y, Ys in zip(gs, Y, scalar):
             assert np.abs(y - _arr(Ys)).max() <= 256 * EPS * _scale(_arr(g)) ** 2 * _scale(_arr(X))
             c = orbits.to_coadjoint_coords(algebra.AlgebraElement(_qmat(y)))
-            got = batch.to_coords(y)
-            for part, want in zip(got, c):
-                assert np.array_equal(part, want)
             r1 = c.d0 * c.j - np.cross(c.d, c.a)
             r2 = orbits.conservation_residuals(c, kappa).r2
             worst = max(worst, float(np.abs(r1).max()), abs(r2))
@@ -131,7 +129,7 @@ def test_orbit_matrix_and_quartic_match_scalar():
     p[6:9] = [[1.6866955266853711, 0, 0], [0.3736641175058505, 0, 0], [2.3219163760233608, 0, 0]]
     for kappa in (0.0, *KAPPAS):
         got = batch.orbit_matrix(z, p, kappa)
-        res = batch.conservation_residuals(batch.to_coords(got), kappa)
+        res = orbits.conservation_residuals(algebra.to_coords(got), kappa)
         assert res.degenerate.tolist() == [k == 5 for k in range(32)]
         for k in range(32):
             X = orbits.orbit_matrix(Quaternion(*z[k]), p[k], kappa)
@@ -141,7 +139,7 @@ def test_orbit_matrix_and_quartic_match_scalar():
             assert res.r2[k] == want.r2 and res.degenerate[k] == want.degenerate
     gs, G = _members(408, 32)
     Y = batch.adjoint(G, _arr(orbits.base_element(1.0)))
-    st_batch = orbits.physicalize(orbits.CoadjointCoords(*batch.to_coords(Y)), 1.0, 1.0, 10.0)
+    st_batch = orbits.physicalize(orbits.CoadjointCoords(*algebra.to_coords(Y)), 1.0, 1.0, 10.0)
     res = orbits.energy_quartic_residual(st_batch)
     for k, y in enumerate(Y):
         c = orbits.to_coadjoint_coords(algebra.AlgebraElement(_qmat(y)))
@@ -204,10 +202,10 @@ def test_every_batched_check_rejects_a_single_bad_element(monkeypatch):
         bad = Y.reshape(16, 16).copy()
         bad[3, k] = np.nan
         with pytest.raises(ValueError, match="algebra shape"):
-            batch.shape_checked(bad.reshape(Y.shape))
+            algebra.shape_checked(bad.reshape(Y.shape))
     Y[3, 0, 0, 0] += 1e-9
     with pytest.raises(ValueError):
-        batch.shape_checked(Y)
+        algebra.shape_checked(Y)
     X[0, 0, 0] = 1e-6  # conjugation keeps the identity part off the algebra shape
     with pytest.raises(ValueError):
         batch.adjoint(G, X)
@@ -220,6 +218,11 @@ def test_every_batched_check_rejects_a_single_bad_element(monkeypatch):
         batch.exp(x)
     with pytest.raises(NonMemberError):
         algebra.exp(algebra.AlgebraElement(_qmat(x[2])))
+    x[2, 0, 0, 0] = 0.0
+    for bad in (np.nan, np.inf):  # one non-finite element fails its chunk, and says so
+        x[5, 0, 1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            batch.exp(x)
     z = np.array([random_unit(np.random.default_rng(k)) for k in range(8)])
     z[6] *= 1.0 + 1e-8
     with pytest.raises(ValueError):
@@ -234,6 +237,27 @@ def test_every_batched_check_rejects_a_single_bad_element(monkeypatch):
     with pytest.raises(ValueError):
         batch.reconstruct(z, np.zeros(8), z / np.linalg.norm(z, axis=-1)[:, None],
                           np.zeros(8), np.ones((8, 3)) / np.sqrt(3.0))
+
+
+def test_batched_checks_switch_at_the_scalar_tolerances():
+    # membership 1e-10, unit norm 1e-9 and algebra shape 1e-12 of the scale,
+    # the edges tests/test_group.py, test_quaternion.py and test_algebra.py pin
+    G = np.array([_arr(group.t_time_translation(0.3))] * 4)
+    X = np.array([_arr(algebra.from_coords([0.1, 0.2, 0.3], [0.4, 0.5, 0.6], 0.7, [0.8, 0.9, 1.0]))] * 4)
+    z = np.array([[1.0, 0.0, 0.0, 0.0]] * 4)
+    for k, passes in ((0.5, True), (2.0, False)):
+        g, y, w = G.copy(), 100.0 * X, z.copy()
+        g[2] *= 1.0 + k * 1e-10 / 4.0  # the Study determinant moves by about 4 times that
+        w[1, 0] += k * 1e-9
+        y[3, 0, 0, 0] = k * 1e-10
+        for check, args in ((batch.certified, (g,)), (batch.unit, (w,)),
+                            (batch.orbit_matrix, (w, np.ones((4, 3)), 1.0)),
+                            (algebra.shape_checked, (y,))):
+            if passes:
+                check(*args)
+            else:
+                with pytest.raises(ValueError):
+                    check(*args)
 
 
 @pytest.mark.parametrize("trials", [0, 1, 2, 255, 256, 257, 513])

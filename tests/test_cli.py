@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ds4
 from ds4 import cli, group
 from ds4.cli import main
 from ds4.gamma import gamma
@@ -236,6 +241,23 @@ def test_decompose_report_beyond_float64_exits_two(capsys, monkeypatch):
     _feed(monkeypatch, _diag_with_a_s("1e200"))
     code, out, err = run_cli(capsys, "decompose")
     assert code == 2 and out == "" and "too large for float64" in err
+
+
+def test_decompose_starts_without_the_array_route(tmp_path):
+    # cli imports ds4.batch only where an array route runs; a fresh process shows it
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(t_time_translation(0.3).to_json()))
+    code = ("import sys, ds4\n"
+            "print('ds4.batch' in sys.modules)\n"
+            "from ds4 import cli\n"
+            f"status = cli.main(['decompose', '--file', {str(path)!r}])\n"
+            "print(status, 'ds4.batch' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(ds4.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    first, report, last = done.stdout.splitlines()
+    assert (first, last) == ("False", "0 False") and "residual" in json.loads(report)
 
 
 def test_decompose_missing_file_exits_two(capsys):

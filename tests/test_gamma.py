@@ -129,11 +129,16 @@ def test_unslash_rejects_off_image():
     # a NaN in any of the 16 components; max would drop all but the first
     with pytest.raises(ValueError, match="defect nan"):
         unslash(QMat2(Quaternion(1.0, np.nan, 0.0, 0.0), ZERO, ZERO, -ONE))
-    flat = [c for q in slash([0.5, 0.1, -0.2, 0.3, 1.2]) for c in q]
+    m = slash([0.5, 0.1, -0.2, 0.3, 1.2])
+    flat = [c for q in m for c in q]
     for k in range(16):
         v = flat[:k] + [np.nan] + flat[k + 1:]
         with pytest.raises(ValueError, match="defect nan"):
             unslash(QMat2(*(Quaternion(*v[i:i + 4]) for i in range(0, 16, 4))))
+    # the slash-image tolerance, 1e-10 of max(1, max-norm), here 1.2
+    unslash(m._replace(a=m.a._replace(x=0.5e-10 * 1.2)))
+    with pytest.raises(ValueError, match="slash image"):
+        unslash(m._replace(a=m.a._replace(x=2e-10 * 1.2)))
 
 
 def test_det_matches_square_of_quadratic_form():

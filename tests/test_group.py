@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,8 @@ from ds4.group import (
     t_space_translation,
     t_time_translation,
 )
-from ds4.orbits import adjoint, base_element, orbit_matrix
+from ds4.algebra import to_coords
+from ds4.orbits import adjoint, base_element, conservation_residuals, orbit_matrix, to_coadjoint_coords
 from ds4.quaternion import (
     E1,
     E2,
@@ -277,6 +279,19 @@ def test_closed_forms_match_the_generic_products(psi, phi, seed):
     assert (L - lorentz_factor_via_products(g, f.w, psi)).max_norm() <= 32 * EPS * math.exp(0.5 * abs(psi)) * M
 
 
+def test_membership_checks_switch_at_1e_10():
+    # the one membership tolerance, which batch.certified reads too; scaling
+    # a member by 1 + e moves its Study determinant by about 4 e
+    m = t_time_translation(0.3).m
+    rep = is_member(m.scale(1.0 + 0.5e-10 / 4.0))
+    assert rep.passed and rep.det_defect == pytest.approx(0.5e-10, rel=1e-3)
+    group.certified(m.scale(1.0 + 0.5e-10 / 4.0))
+    rep = is_member(m.scale(1.0 + 2e-10 / 4.0))
+    assert not rep.passed and rep.det_defect == pytest.approx(2e-10, rel=1e-3)
+    with pytest.raises(NonMemberError):
+        group.certified(m.scale(1.0 + 2e-10 / 4.0))
+
+
 def test_scalar_route_runs_on_python_floats(monkeypatch):
     # factors and points built from numpy arrays, as a caller holding arrays would
     rng = np.random.default_rng(49)
@@ -297,6 +312,15 @@ def test_scalar_route_runs_on_python_floats(monkeypatch):
                   *(c for m in moved for q in m for c in q)]
     assert len(moved) == 2
     assert all(type(c) is float for c in components), [type(c) for c in components]
+    # one element's chart and orbit residuals hold Python scalars, which JSON encodes;
+    # z.s = 0 puts d0 = p0 z.s at 0, the degenerate form of r1
+    for Y in (X, orbit_matrix(Quaternion(0.0, 0.6, 0.8, 0.0), unit[1][1:], np.float64(0.5))):
+        coords = to_coadjoint_coords(Y)
+        res = conservation_residuals(coords, 0.5)
+        assert type(to_coords(Y)[2]) is float and type(coords.d0) is float
+        assert type(res.r2) is float and type(res.degenerate) is bool
+        assert res.degenerate == (Y is not X)
+        json.dumps([Y.to_json(), coords.to_json(), res.r1.tolist(), res.r2, res.degenerate])
 
 
 # ---------------------------------------------------------------------------

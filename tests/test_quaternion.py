@@ -129,6 +129,11 @@ def test_ensure_unit():
     assert ensure_unit(q).norm() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         ensure_unit(Quaternion(1.1, 0.0, 0.0, 0.0))
+    # the one unit tolerance 1e-9, which batch.unit and batch.orbit_matrix read too
+    ensure_unit(Quaternion(1.0 - 0.5e-9, 0.0, 0.0, 0.0))
+    for e in (2e-9, -2e-9):
+        with pytest.raises(ValueError, match="not a unit quaternion"):
+            ensure_unit(Quaternion(1.0 + e, 0.0, 0.0, 0.0))
     for q in (Quaternion(math.nan, 0.0, 0.0, 0.0), Quaternion(1.0, 0.0, math.nan, 0.0)):
         with pytest.raises(ValueError):
             ensure_unit(q)
@@ -144,6 +149,13 @@ def test_ensure_pure_unit():
         ensure_pure_unit(Quaternion(0.5, 0.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         ensure_pure_unit(Quaternion(0.0, 0.0, 2.0, 0.0))
+    for e in (0.5e-9, -0.5e-9):  # the unit tolerance 1e-9 bounds both parts
+        ensure_pure_unit(Quaternion(e, 0.0, 1.0 + e, 0.0))
+    for e in (2e-9, -2e-9):
+        with pytest.raises(ValueError, match="vector part not unit"):
+            ensure_pure_unit(Quaternion(0.0, 0.0, 1.0 + e, 0.0))
+        with pytest.raises(ValueError, match="not a pure vector"):
+            ensure_pure_unit(Quaternion(e, 0.0, 1.0, 0.0))
     for u in (Quaternion(math.nan, 0.0, 1.0, 0.0), Quaternion(0.0, 0.0, math.nan, 0.0)):
         with pytest.raises(ValueError):
             ensure_pure_unit(u)
