@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gamma import ETA, QMat2, slash, unslash
+from .gamma import ETA, QMat2, _mul_add, _quaternion, slash, unslash
 from .group import GroupElement, certified
 from .quaternion import E1, E2, E3, ONE, ZERO, Quaternion
 
@@ -253,89 +253,121 @@ def intertwining_residual(label1: str, label2: str) -> float:
 
 # ---------------------------------------------------------------------------
 # Exponential map
+#
+# X in sp(2,2) has eigenvalues +-mu_1, +-mu_2 in the 4x4 embedding, so the
+# roots s_i = mu_i^2 of s^2 + c2 s + c4, c4 = |det X| >= 0, are real or a
+# conjugate pair, and X^2 = sigma I + N with N^2 = rho I, sigma their mean and
+# rho = (s_1 - s_2)^2/4 (X^4 + c2 X^2 + c4 = 0).  With f0 and f1 the mean and
+# the divided difference of f at s_1, s_2, f(X^2) = f0 + f1 N (Higham,
+# Functions of Matrices, 2008, ch. 1), so exp X = cosh sqrt(X^2) + X shc
+# sqrt(X^2), shc z = sinh z / z, is the cubic alpha I + gamma X + beta X^2 +
+# delta X^3 written as c0 I + c1 N + s0 X + s1 X N, where no coefficient is
+# a difference of large terms as alpha = c0 - sigma c1 is.
 
-_I4 = np.eye(4)
-#: _T[i] is the 4x4 matrix of left multiplication by the i-th basis unit.
-_T = np.array([[Quaternion(*e) * Quaternion(*f) for f in _I4] for e in _I4]).swapaxes(1, 2)
+#: Inputs with |s_1|, |s_2| <= _SERIES_RADIUS take the Taylor series.
+_SERIES_RADIUS = 1.0
+#: (1/(2n)!, 1/(2n+1)!) from n = 9 down to 0: the series of cosh sqrt z and
+#: shc sqrt z, whose remainders at |z| <= 1 are below 1e-17.
+_SERIES = tuple((1.0 / math.factorial(2 * n), 1.0 / math.factorial(2 * n + 1))
+                for n in range(9, -1, -1))
+_NOT_FINITE = "exp of a matrix with a NaN or infinite component"
+_OVERFLOW = "exp overflows float64"
 
 
-def left_matrices(m) -> np.ndarray:
-    """(..., 8, 8) real matrices of n -> m n on the stacked columns of n, for
-    (..., 2, 2, 4) blocks m: block (i, j) is the 4x4 matrix of q -> m_ij q."""
-    left = (m @ _T.reshape(4, 16)).reshape(m.shape[:-1] + (4, 4))
-    return left.swapaxes(-3, -2).reshape(m.shape[:-3] + (8, 8))
+def _ch_sc(w: float) -> tuple[float, float]:
+    """cosh sqrt w and shc sqrt w for real w: cos y and sin y / y at w = -y^2."""
+    if w >= 0.0:
+        y = math.sqrt(w)
+        return math.cosh(y), math.sinh(y) / y if y else 1.0
+    y = math.sqrt(-w)
+    return math.cos(y), math.sin(y) / y
 
 
-#: _TAYLOR[j, i] = 1/(4j + i)! up to degree 17 and 0 beyond, so that the
-#: Taylor polynomial sum_k B^k/k! is sum_j (sum_i _TAYLOR[j, i] B^i) (B^4)^j.
-_TAYLOR = np.array([[1.0 / math.factorial(k) if k <= 17 else 0.0 for k in range(4 * j, 4 * j + 4)]
-                    for j in range(5)])
-_I8 = np.eye(8)
+def _exp_coefficients(sigma: float, rho: float) -> tuple[float, float, float, float]:
+    """(c0, c1, s0, s1) with cosh sqrt Z = c0 + c1 N and shc sqrt Z = s0 + s1 N
+    at Z = sigma + N, N^2 = rho, by the first of three branches that applies:
 
+    - |s_i| <= _SERIES_RADIUS: the Taylor series by Horner's rule in Z.  The
+      divided differences below lose digits at small roots, harmless while N
+      is as small as they are, but a null rotation plus a small rotation
+      commuting with it has roots meeting near 0 and a large N;
+    - u - v >= |sigma|/2 for the roots u >= v of w^2 - sigma w + rho/4, real
+      as the discriminant is c4, so u - v = sqrt(c4): the half-angle forms
+      (McCurdy, Ng and Parlett, Math. Comp. 43, 1984) c0 = ch(u) ch(v), c1 =
+      sc(u) sc(v)/2, s1 = (ch(u) sc(v) - sc(u) ch(v)) / (2 (u - v)) and s0 =
+      sc(u) ch(v) - 2 v s1 = ch(u) sc(v) - 2 u s1, on the smaller of |u|, |v|,
+      with ch w = cosh sqrt w and sc w = shc sqrt w.  The smaller in size
+      is taken as rho/4 over the larger, so equal roots s_1 = s_2 (the
+      generators, the scalar orbits) make it an exact 0;
+    - else s_1, s_2 are real and at least 0.9 max |s_i| apart: f0, f1 taken
+      at them directly, the smaller root as c4 over the larger.
 
-def _exp_left(m) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential of the left-multiplication
-    matrices of (..., 2, 2, 4) blocks, as (..., 8, 8) arrays.
-
-    Each matrix is scaled by its own power of two 2^s so that its largest
-    block component is <= 1/2, the degree-17 Taylor polynomial is evaluated
-    there, and the result is squared s times.  The polynomial is evaluated
-    by Paterson-Stockmeyer: the powers I, B, B^2, B^3 and B^4, five chunk
-    sums from one product with _TAYLOR, and a Horner loop in B^4, 7 real 8x8
-    matrix products in all.
-
-    A block L(q) has 2-norm |q| <= 1 when q's components are at most 1/2,
-    so ||B||_2 <= 2, where the dropped terms are bounded by
-    sum_{k>=18} 2^k/k! = 4.6e-11: a bound far above round-off, not the
-    error.  The algebra's elements sit well inside it, and the measured
-    error against scipy.linalg.expm is at round-off
-    (tests/test_algebra.py::test_expm_against_scipy).  Squaring multiplies
-    a relative error by about 2^s.
+    ValueError if a math function meets an argument that overflowed.
     """
-    s = np.ceil(np.log2(np.maximum(np.abs(m).max(axis=(-3, -2, -1)), 0.5) / 0.5))
-    lead = m.shape[:-3]
-    P = np.empty(lead + (4, 8, 8))
-    P[..., 0, :, :] = _I8
-    R = P[..., 1, :, :]
-    np.divide(left_matrices(m), (2.0 ** s)[..., None, None], out=R)
-    np.matmul(R, R, out=P[..., 2, :, :])
-    np.matmul(P[..., 2, :, :], R, out=P[..., 3, :, :])
-    B4 = P[..., 2, :, :] @ P[..., 2, :, :]
-    C = (_TAYLOR @ P.reshape(lead + (4, 64))).reshape(lead + (5, 8, 8))
-    del P, R  # the powers are spent; drop them before the Horner loop
-    out = C[..., 4, :, :]
-    for j in (3, 2, 1, 0):
-        out = out @ B4
-        out += C[..., j, :, :]
-    for i in range(int(s.max(initial=0.0))):
-        out = np.where((s > i)[..., None, None], out @ out, out)
-    return out
+    if abs(sigma) + math.sqrt(abs(rho)) <= _SERIES_RADIUS:
+        (c0, s0), c1, s1 = _SERIES[0], 0.0, 0.0
+        for c, s in _SERIES[1:]:
+            c0, c1 = c0 * sigma + c1 * rho + c, c0 + c1 * sigma
+            s0, s1 = s0 * sigma + s1 * rho + s, s0 + s1 * sigma
+        return c0, c1, s0, s1
+    try:
+        c4 = sigma * sigma - rho
+        if 4.0 * c4 >= sigma * sigma:
+            if sigma >= 0.0:
+                u = 0.5 * (sigma + math.sqrt(c4))
+                v = 0.25 * rho / u
+            else:
+                v = 0.5 * (sigma - math.sqrt(c4))
+                u = 0.25 * rho / v
+            (chu, scu), (chv, scv) = _ch_sc(u), _ch_sc(v)
+            s1 = (chu * scv - scu * chv) / (2.0 * (u - v))
+            s0 = scu * chv - 2.0 * v * s1 if sigma >= 0.0 else chu * scv - 2.0 * u * s1
+            return chu * chv, 0.5 * scu * scv, s0, s1
+        r = math.sqrt(rho)
+        z1 = sigma + r if sigma >= 0.0 else sigma - r
+        z2 = max(c4, 0.0) / z1
+        (ch1, sc1), (ch2, sc2) = _ch_sc(z1), _ch_sc(z2)
+    except (OverflowError, ValueError):  # math met an argument that had overflowed
+        raise ValueError(_OVERFLOW) from None
+    return 0.5 * (ch1 + ch2), (ch1 - ch2) / (z1 - z2), 0.5 * (sc1 + sc2), (sc1 - sc2) / (z1 - z2)
 
 
-def _expm(m) -> np.ndarray:
-    """exp of (..., 2, 2, 4) quaternionic matrices m, as the blocks q read off
-    the first column of each 4x4 block of _exp_left, since L(q) e_0 = q.  A
-    non-finite m is rejected, and so is a result with an entry of a 4x4 block
-    off L(q) by more than 1e-9 max(1, largest |q_k|), or NaN."""
-    if not np.isfinite(m).all():
-        raise ValueError("exp of a matrix with a NaN or infinite component")
-    E = _exp_left(m)
-    q = E[..., ::4].reshape(E.shape[:-2] + (2, 4, 2)).swapaxes(-2, -1).copy()
-    a = np.abs(q)
-    scale = np.maximum(np.maximum(a[..., 0], a[..., 1]), np.maximum(a[..., 2], a[..., 3]))
-    defect = np.abs(E - left_matrices(q)).reshape(E.shape[:-2] + (2, 4, 2, 4))
-    if not (defect <= 1e-9 * np.maximum(1.0, scale)[..., :, None, :, None]).all():
-        raise ValueError(f"matrix is not in the quaternion image (defect {defect.max():.3e})")
-    return q
+def _re(p, q) -> float:
+    """Scalar part of the quaternion product p q."""
+    return p[0] * q[0] - p[1] * q[1] - p[2] * q[2] - p[3] * q[3]
+
+
+def _expm(m) -> QMat2:
+    """exp of a quaternionic matrix m = (a, b, c, d), a QMat2 or four
+    4-sequences, as c0 I + c1 N + s0 m + s1 m N on Python floats: the
+    products m^2 and m N are eight _mul_add calls and the coefficients come
+    from _exp_coefficients.  ValueError if m has a NaN or infinite component
+    or the result overflows."""
+    a, b, c, d = m
+    x = (*a, *b, *c, *d)
+    if not all(map(math.isfinite, x)):
+        raise ValueError(_NOT_FINITE)
+    na, nb, nc, nd = _mul_add(a, a, b, c), _mul_add(a, b, b, d), _mul_add(c, a, d, c), _mul_add(c, b, d, d)
+    sigma = 0.5 * (na[0] + nd[0])
+    na, nd = (na[0] - sigma, *na[1:]), (nd[0] - sigma, *nd[1:])
+    rho = 0.5 * (_re(na, na) + _re(nd, nd)) + _re(nb, nc)
+    c0, c1, s0, s1 = _exp_coefficients(sigma, rho)
+    xn = _mul_add(a, na, b, nc) + _mul_add(a, nb, b, nd) + _mul_add(c, na, d, nc) + _mul_add(c, nb, d, nd)
+    e = [c1 * n + s0 * y + s1 * z for n, y, z in zip((*na, *nb, *nc, *nd), x, xn)]
+    e[0] += c0
+    e[12] += c0
+    if not all(map(math.isfinite, e)):
+        raise ValueError(_OVERFLOW)
+    return QMat2(*map(_quaternion, (e[0:4], e[4:8], e[8:12], e[12:16])))
 
 
 def exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:
-    """Group element exp(t X), computed by _expm on the quaternion blocks and
-    certified as a member; exp(theta X_k), exp(psi X0), exp(theta Y_k) and
-    exp(phi Z_k) reproduce the corresponding one-parameter subgroups.
+    """Group element exp(t X) in closed form (_expm), certified as a member;
+    exp(theta X_k), exp(psi X0), exp(theta Y_k) and exp(phi Z_k) reproduce
+    the corresponding one-parameter subgroups.
     """
-    E = _expm(np.reshape(X.m.scale(t), (2, 2, 4)))
-    return certified(QMat2(*map(Quaternion._make, E.reshape(4, 4).tolist())))
+    t = float(t)
+    return certified(_expm([[t * c for c in q] for q in X.m]))
 
 
 def random_element(rng: np.random.Generator) -> AlgebraElement:

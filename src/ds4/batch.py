@@ -3,18 +3,20 @@ the records of `ds4 orbit`.
 
 A quaternion is a (..., 4) float64 array (s, x, y, z) and a 2x2
 quaternionic matrix a (..., 2, 2, 4) array of blocks [[a, b], [c, d]].
-Matrix products and the exponential run on the real 8x8
-left-multiplication matrices of the blocks (algebra.left_matrices), so a
-call costs a few numpy calls whatever the number of elements; quaternion
-products are written out component by component, with the operations of
-Quaternion.__mul__ in their order, so they are bitwise the scalar ones.
-Each routine is the twin of the scalar one it names, which stays the route
-for single elements and the reference the tests hold this one to; the two
-read one tolerance constant.  Every check of the scalar route runs on every
-element, and a failure raises the scalar route's exception.  The algebra
-shape check, the (a, j, d0, d) chart and the orbit residuals are not
-twinned: one body serves both routes (algebra.shape_checked,
-algebra.to_coords, orbits.conservation_residuals).
+Matrix products run on the real 8x8 left-multiplication matrices of the
+blocks (left_matrices), so a call costs a few numpy calls whatever the
+number of elements; quaternion products are written out component by
+component, with the operations of Quaternion.__mul__ in their order, so
+they are bitwise the scalar ones.  The exponential is algebra.exp's closed
+form, with its two products by matmul; its coefficients take the branch
+most elements fall in over the arrays and the scalar route's function on
+the rest.  Each routine is the twin of the scalar one it names, which
+stays the route for single elements and the reference the tests hold this
+one to; the two read one tolerance constant.  Every check of the scalar
+route runs on every element, and a failure raises the scalar route's
+exception.  The algebra shape check, the (a, j, d0, d) chart and the orbit
+residuals are not twinned: one body serves both routes
+(algebra.shape_checked, algebra.to_coords, orbits.conservation_residuals).
 """
 
 from __future__ import annotations
@@ -24,15 +26,20 @@ from itertools import repeat
 
 import numpy as np
 
-from .algebra import _CONJ, _I4, _expm, left_matrices, shape_checked
+from .algebra import _CONJ, _NOT_FINITE, _OVERFLOW, _SERIES_RADIUS, shape_checked
+from .algebra import _exp_coefficients as _scalar_exp_coefficients
 from .group import MEMBER_TOL, MembershipReport, NonMemberError
 from .orbits import _dot
-from .quaternion import UNIT_TOL
+from .quaternion import UNIT_TOL, Quaternion
 
 #: Trials per array in a suite run; bounds the peak memory.
 CHUNK = 256
 
+_I4 = np.eye(4)
 _G0 = np.diag([1.0, -1.0])[..., None] * _I4[0]
+_ID = np.eye(2)[..., None] * _I4[0]
+#: _T[i] is the 4x4 matrix of left multiplication by the i-th basis unit.
+_T = np.array([[Quaternion(*e) * Quaternion(*f) for f in _I4] for e in _I4]).swapaxes(1, 2)
 
 
 def blocks(a, b, c, d) -> np.ndarray:
@@ -48,6 +55,13 @@ def mul(p, q) -> np.ndarray:
                      s1 * x2 + s2 * x1 + y1 * z2 - z1 * y2,
                      s1 * y2 + s2 * y1 + z1 * x2 - x1 * z2,
                      s1 * z2 + s2 * z1 + x1 * y2 - y1 * x2)).T
+
+
+def left_matrices(m) -> np.ndarray:
+    """(..., 8, 8) real matrices of n -> m n on the stacked columns of n, for
+    (..., 2, 2, 4) blocks m: block (i, j) is the 4x4 matrix of q -> m_ij q."""
+    left = (m @ _T.reshape(4, 16)).reshape(m.shape[:-1] + (4, 4))
+    return left.swapaxes(-3, -2).reshape(m.shape[:-3] + (8, 8))
 
 
 def matmul(m, n) -> np.ndarray:
@@ -78,7 +92,7 @@ def _unit_norms(n) -> np.ndarray:
     """The norms n, or ValueError at the first off 1 by more than UNIT_TOL (ensure_unit)."""
     bad = ~(np.abs(n - 1.0) <= UNIT_TOL)
     if bad.any():
-        raise ValueError(f"not a unit quaternion: |q| = {n[bad][0]!r}")
+        raise ValueError(f"not a unit quaternion: |q| = {float(n[bad][0])!r}")
     return n
 
 
@@ -137,6 +151,44 @@ def from_coords(a, j, d0, d) -> np.ndarray:
     top = np.concatenate((np.asarray(d0)[..., None], d), -1)
     return blocks(np.concatenate((zero, a + j), -1), top, conj(top),
                   np.concatenate((zero, j - a), -1))
+
+
+def _exp_coefficients(sigma, rho) -> np.ndarray:
+    """algebra._exp_coefficients on arrays, as a (4, ...) stack: its
+    half-angle branch, which most elements take, over the arrays, and the
+    function itself on each element that takes another branch."""
+    s, r = np.ravel(sigma), np.ravel(rho)
+    c4 = s * s - r
+    pos = s >= 0.0
+    w = 0.5 * (s + np.where(pos, 1.0, -1.0) * np.sqrt(c4))
+    u, v = np.where(pos, w, 0.25 * r / w), np.where(pos, 0.25 * r / w, w)
+    uv = np.array((u, v))
+    y, up = np.sqrt(np.abs(uv)), uv >= 0.0
+    chu, chv = np.where(up, np.cosh(y), np.cos(y))
+    scu, scv = np.where(y == 0.0, 1.0, np.where(up, np.sinh(y), np.sin(y)) / y)  # algebra._ch_sc
+    s1 = (chu * scv - scu * chv) / (2.0 * (u - v))
+    out = np.array((chu * chv, 0.5 * scu * scv, np.where(pos, scu * chv - 2.0 * v * s1, chu * scv - 2.0 * u * s1), s1))
+    other = np.flatnonzero(~((np.abs(s) + np.sqrt(np.abs(r)) > _SERIES_RADIUS) & (4.0 * c4 >= s * s)))
+    for i, si, ri in zip(other, s[other].tolist(), r[other].tolist()):
+        out[:, i] = _scalar_exp_coefficients(si, ri)
+    return out.reshape((4,) + np.shape(sigma))
+
+
+def _expm(x) -> np.ndarray:
+    """exp of (..., 2, 2, 4) quaternionic matrices (algebra._expm): the
+    products x^2 and x N by matmul, the coefficients by _exp_coefficients."""
+    if not np.isfinite(x).all():
+        raise ValueError(_NOT_FINITE)
+    with np.errstate(all="ignore"):  # the branches an element does not take, and overflow
+        n = matmul(x, x)
+        sigma = 0.5 * (n[..., 0, 0, 0] + n[..., 1, 1, 0])
+        n -= sigma[..., None, None, None] * _ID
+        rho = 0.5 * (n * n.swapaxes(-3, -2) * _CONJ).sum((-3, -2, -1))  # tr(N^2)/4 (algebra._expm)
+        c0, c1, s0, s1 = _exp_coefficients(sigma, rho)[..., None, None, None]
+        e = c1 * n + s0 * x + s1 * matmul(x, n) + c0 * _ID
+    if not np.isfinite(e).all():
+        raise ValueError(_OVERFLOW)
+    return e
 
 
 def exp(x) -> np.ndarray:

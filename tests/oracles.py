@@ -2,19 +2,21 @@
 random inputs the tests feed them.
 
 The routes go through the 4x4 complex embedding and generic numpy or scipy
-linear algebra, or through generic QMat2 products of the factor matrices,
-never through the quaternionic closed forms or the Taylor evaluation under
-test.  The one exception is `ds4 orbit`, whose array route is held to the
-scalar one point by point.
+linear algebra, through generic QMat2 products of the factor matrices, or
+through a Taylor polynomial on real 8x8 matrices, never through the
+quaternionic closed forms under test.  The one exception is `ds4 orbit`,
+whose array route is held to the scalar one point by point.
 """
 
 import json
+import math
 
 import numpy as np
 from scipy.linalg import expm
 
 from ds4 import orbits
-from ds4.gamma import ETA, QMat2, gamma, slash
+from ds4.batch import left_matrices
+from ds4.gamma import ETA, QMat2, embed_blocks, gamma, slash
 from ds4.group import (
     MembershipReport,
     inverse,
@@ -165,6 +167,54 @@ def expm_via_pade(A) -> np.ndarray:
     """scipy's scaling-and-squaring Pade exponential of each 4x4 matrix."""
     A = np.asarray(A)
     return np.array([expm(a) for a in A.reshape(-1, 4, 4)]).reshape(A.shape)
+
+
+#: _TAYLOR[j, i] = 1/(4j + i)! up to degree 17 and 0 beyond, so that the
+#: Taylor polynomial sum_k B^k/k! is sum_j (sum_i _TAYLOR[j, i] B^i) (B^4)^j.
+_TAYLOR = np.array([[1.0 / math.factorial(k) if k <= 17 else 0.0 for k in range(4 * j, 4 * j + 4)]
+                    for j in range(5)])
+
+
+def squarings(m) -> np.ndarray:
+    """Squarings of expm_via_taylor: the power of two that takes the largest
+    block component of each (..., 2, 2, 4) matrix to at most 1/2."""
+    return np.ceil(np.log2(np.maximum(np.abs(m).max(axis=(-3, -2, -1)), 0.5) / 0.5))
+
+
+def expm_via_taylor(m) -> np.ndarray:
+    """exp of (..., 2, 2, 4) quaternionic matrices by scaling and squaring the
+    degree-17 Taylor polynomial of their real 8x8 left-multiplication
+    matrices, evaluated by Paterson-Stockmeyer (the powers B .. B^4, five
+    chunk sums and a Horner loop in B^4: 7 real 8x8 products).  The blocks
+    are read off the first column of each 4x4 block, since L(q) e_0 = q."""
+    s = squarings(m)
+    B = left_matrices(m) / (2.0 ** s)[..., None, None]
+    P = np.stack((np.broadcast_to(np.eye(8), B.shape), B, B @ B, B @ B @ B), -3)
+    B4 = P[..., 2, :, :] @ P[..., 2, :, :]
+    C = (_TAYLOR @ P.reshape(P.shape[:-3] + (4, 64))).reshape(P.shape[:-3] + (5, 8, 8))
+    E = C[..., 4, :, :]
+    for j in (3, 2, 1, 0):
+        E = E @ B4 + C[..., j, :, :]
+    for i in range(int(s.max(initial=0.0))):
+        E = np.where((s > i)[..., None, None], E @ E, E)
+    return E[..., ::4].reshape(E.shape[:-2] + (2, 4, 2)).swapaxes(-2, -1)
+
+
+#: The error bound of expm_via_taylor, which the closed-form exponential is
+#: held to: its 7 real 8x8 products are each within gamma_8 = 8 eps of their
+#: terms' magnitudes, so the polynomial at B = L/2^s is within 7 gamma_8 <
+#: 64 eps of exp(B) relative to its scale, plus the Taylor remainder, at most
+#: sum_{k>=18} ||B||_2^k/k!.  Each of the s squarings doubles a relative
+#: error.  scipy's Pade route carries an error of the same order.
+EXPM_EPS = 64
+
+
+def expm_tolerance(m) -> np.ndarray:
+    """Bound on the max-entry error of exp(m) relative to its largest entry."""
+    s = squarings(m)
+    theta = np.linalg.norm(embed_blocks(m) / (2.0 ** s)[..., None, None], 2, axis=(-2, -1))
+    remainder = sum(theta**k / math.factorial(k) for k in range(18, 40))
+    return 2.0**s * (EXPM_EPS * np.finfo(float).eps + remainder)
 
 
 def structure_rhs_oracle(alpha, beta, rho, delta, k_of, zero):

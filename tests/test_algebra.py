@@ -6,14 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ds4
-from ds4 import algebra
+from ds4 import algebra, batch, orbits
 from ds4.algebra import (
     GENERATOR_LABELS,
     K_INDEX,
     AlgebraElement,
-    _expm,
     bracket,
     bracket_table_defect_so14,
     bracket_table_residual_quaternionic,
@@ -23,7 +24,6 @@ from ds4.algebra import (
     homomorphism_residual,
     intertwining_residual,
     k_generator,
-    left_matrices,
     random_element,
     shape_residual,
     slash_induced_matrix,
@@ -33,7 +33,7 @@ from ds4.algebra import (
 from ds4.gamma import ETA, QMat2, embed_blocks
 from ds4.group import is_member, t_boost, t_space_rotation, t_space_translation, t_time_translation
 from ds4.quaternion import E1, E2, E3, ONE, ZERO, Quaternion
-from oracles import expm_via_pade, structure_rhs_oracle
+from oracles import expm_tolerance, expm_via_pade, expm_via_taylor, squarings, structure_rhs_oracle
 
 _PLANES = [(a, b) for a in range(5) for b in range(a + 1, 5)]
 
@@ -281,29 +281,27 @@ def test_exp_lands_in_the_group():
         assert rep.passed
 
 
-# Tolerance of _expm against scipy, fixed from the error analysis: the
-# evaluation is 7 real 8x8 products, each within gamma_8 = 8 eps of its
-# terms' magnitudes, so the polynomial at B = L/2^s is within 7 gamma_8 <
-# 64 eps of exp(B) relative to its scale, plus the Taylor remainder, at most
-# sum_{k>=18} ||B||_2^k/k!.  Each of the s squarings doubles a relative
-# error.  scipy's Pade route carries an error of the same order.
-EXPM_EPS = 64
+def _scalar_expm(m) -> np.ndarray:
+    """algebra._expm, the uncertified scalar core, on each of a stack of blocks."""
+    m = np.asarray(m)
+    out = [np.reshape(algebra._expm(a.reshape(4, 4).tolist()), (2, 2, 4)) for a in m.reshape(-1, 2, 2, 4)]
+    return np.reshape(out, m.shape)
 
 
-def _squarings(m) -> np.ndarray:
-    return np.ceil(np.log2(np.maximum(np.abs(m).max(axis=(-3, -2, -1)), 0.5) / 0.5))
-
-
-def _expm_tolerance(m) -> np.ndarray:
-    s = _squarings(m)
-    theta = np.linalg.norm(embed_blocks(m) / (2.0 ** s)[..., None, None], 2, axis=(-2, -1))
-    remainder = sum(theta**k / math.factorial(k) for k in range(18, 40))
-    return 2.0**s * (EXPM_EPS * np.finfo(float).eps + remainder)
+def _assert_expm_within_tolerance(m):
+    """Both routes' exp of a stack m against scipy's, relative to its largest entry."""
+    m = np.asarray(m, dtype=float)
+    want = expm_via_pade(embed_blocks(m))
+    tol = expm_tolerance(m)
+    for got in (batch._expm(m), _scalar_expm(m)):
+        err = np.abs(embed_blocks(got) - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+        assert (err <= tol).all(), (err / tol).max()
 
 
 def _expm_cases() -> list[np.ndarray]:
-    """Stacks of random elements at the scaling threshold and scaled x1,
-    x10 and x40, and one of the zero matrix and the ten generators at t = +-2."""
+    """Stacks of random elements at the Taylor oracle's scaling threshold and
+    scaled x1, x10 and x40, and one of the zero matrix and the ten
+    generators at t = +-2."""
     rng = np.random.default_rng(59)
     raw = np.array([np.reshape(random_element(rng).m, (2, 2, 4)) for _ in range(4 * 64)])
     raw = raw.reshape(4, 64, 2, 2, 4)
@@ -316,35 +314,113 @@ def _expm_cases() -> list[np.ndarray]:
 
 def test_expm_against_scipy():
     # compared in the complex embedding, on scipy's Pade exponential there;
-    # measured: error 2.4e-16 with ||B||_2 <= 1.28 at the threshold, and a
-    # worst err/tol of 0.082, on the x40 stack
+    # measured: a worst err/tol of 0.041 on the two routes
     cases = _expm_cases()
-    assert _squarings(cases[0]).max() <= 1 and _squarings(cases[3]).max() >= 5
+    assert squarings(cases[0]).max() <= 1 and squarings(cases[3]).max() >= 5
     for m in cases:
-        got, want = embed_blocks(_expm(m)), expm_via_pade(embed_blocks(m))
-        err = np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
-        assert (err <= _expm_tolerance(m)).all(), (err / _expm_tolerance(m)).max()
+        _assert_expm_within_tolerance(m)
+
+
+def test_expm_against_the_taylor_oracle():
+    # a second, scipy-free oracle: both sit within expm_tolerance of exp
+    for m in _expm_cases():
+        want = expm_via_taylor(m)
+        scale = np.abs(want).max(axis=(-3, -2, -1))
+        for got in (batch._expm(m), _scalar_expm(m)):
+            assert (np.abs(got - want).max(axis=(-3, -2, -1)) <= 2.0 * expm_tolerance(m) * scale).all()
 
 
 def test_expm_single_matrix_equals_its_stacked_row():
     for m in _expm_cases():
-        stacked = _expm(m)
+        stacked = batch._expm(m)
         for a, row in zip(m, stacked):
-            assert np.array_equal(_expm(a), row)
+            assert np.array_equal(batch._expm(a), row)
 
 
-def test_expm_image_check_is_relative_to_each_block(monkeypatch):
-    # blocks 100 e3 and 1 on the diagonal: an entry pushed by 5e-8 is inside
-    # 1e-9 * 100 of L(100 e3) and outside 1e-9 of L(1)
-    m = np.zeros((2, 2, 4))
-    m[0, 0, 3], m[1, 1, 0] = 100.0, 1.0
-    pushed = left_matrices(m)
-    monkeypatch.setattr(algebra, "_exp_left", lambda a: pushed)
-    pushed[1, 2] += 5e-8
-    assert np.array_equal(_expm(m), m)
-    pushed[5, 6] += 5e-8
-    with pytest.raises(ValueError, match="quaternion image"):
-        _expm(m)
+# Elements whose roots s_1, s_2 meet, vanish or nearly meet, where a closed
+# form of the divided differences would cancel: each family goes through the
+# branches of _exp_coefficients and must meet expm_tolerance on both routes.
+
+def _blocks(X) -> np.ndarray:
+    return np.reshape(getattr(X, "m", X), (2, 2, 4))
+
+
+_X0, _Y3, _X3 = (_blocks(generator(lab)) for lab in ("X0", "Y3", "X3"))
+
+
+def test_exp_of_generators_with_equal_roots():
+    _assert_expm_within_tolerance([t * _blocks(generator(lab))
+                                   for lab in GENERATOR_LABELS for t in (-2.0, -0.5, 0.5, 2.0)])
+
+
+@pytest.mark.parametrize("kappa, p_max", [(0.0, 2.0), (0.1, 0.5), (1.0, 5.0), (10.0, 50.0)])
+def test_exp_of_orbit_elements(kappa, p_max):
+    # X^2 = kappa^2 I: equal roots, or X^2 = 0 on the massless orbit
+    _assert_expm_within_tolerance([_blocks(orbits.orbit_matrix_of(pt))
+                                   for pt in orbits.sample_orbit(kappa, 64, p_max, 61)])
+
+
+def test_exp_of_commuting_boost_and_rotation():
+    # 2 X0 + 2 s Y3 has the complex pair of roots (1 +- i s)^2
+    _assert_expm_within_tolerance([2.0 * _X0 + 2.0 * s * _Y3 for s in (1e-8, 1e-3, 0.5, 2.0)])
+
+
+def test_exp_of_a_null_rotation_and_a_commuting_rotation():
+    # Z1 + Y3 is a null rotation (its square is 0) and commutes with X3, so
+    # X = a (Z1 + Y3) + theta X3 has equal roots -theta^2/4 while N = X^2 -
+    # sigma I is of size a theta: the divided differences meet at a small
+    # root, where only the series does not cancel
+    nil = _blocks(generator("Z1")) + _blocks(generator("Y3"))
+    _assert_expm_within_tolerance([a * nil + th * _X3 for a in (1.0, 10.0)
+                                   for th in (1e-1, 1e-3, 1e-6, 1e-9)])
+
+
+def test_exp_of_perturbed_elements():
+    # eps Y and 2 X0 + eps Y for eps from 1e-1 down to 1e-12
+    rng = np.random.default_rng(62)
+    Y = [_blocks(random_element(rng)) for _ in range(8)]
+    eps = np.logspace(-1, -12, 12)
+    _assert_expm_within_tolerance([e * y for e in eps for y in Y])
+    _assert_expm_within_tolerance([2.0 * _X0 + e * y for e in eps for y in Y])
+
+
+def test_exp_across_each_branch_switch():
+    # each switch of _exp_coefficients, straddled at relative offsets down to
+    # 1e-15: the series radius |s| = 1 at 2 X0 (roots 1, 1) and 2 Y3 (roots
+    # -1, -1); the isoclinic switch 4 c4 = sigma^2 at 2 a Y3 + 2 b X3 with
+    # a^2 = 3 b^2, which has roots -(a +- b)^2; and a root at 0, a = b
+    rng = np.random.default_rng(63)
+    Y = _blocks(random_element(rng))
+    offsets = [k * 10.0**-e for e in (3, 6, 9, 12, 15) for k in (-1.0, 1.0)] + [0.0]
+    cases = []
+    for o in offsets:
+        cases += [2.0 * (1.0 + o) * _X0, 2.0 * (1.0 + o) * _Y3]
+        for b in (0.3, 1.0, 3.0):
+            for a in (math.sqrt(3.0) * b * (1.0 + o), b * (1.0 + o)):
+                cases += [2.0 * a * _Y3 + 2.0 * b * _X3, 2.0 * a * _Y3 + 2.0 * b * _X3 + 1e-6 * Y]
+    _assert_expm_within_tolerance(cases)
+
+
+_COORDS = st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=_COORDS, s=st.floats(-1.0, 1.0), t=st.floats(-1.0, 1.0))
+def test_exp_group_law_on_both_routes(c, s, t):
+    # exp(s X) exp(t X) = exp((s + t) X), and exp(X) exp(-X) = exp(0) = I.
+    # A component of each exp is within sqrt(2) tau |exp| of the truth, tau
+    # its expm_tolerance and |.| the largest component, as an entry of the
+    # embedding holds two components; a block of a product sums 8 component
+    # products, so the product is within 8 (sqrt(2) (tau_a + tau_b) + 16 eps) |a| |b|
+    x = _blocks(from_coords(c[0:3], c[3:6], c[6], c[7:10]))
+    eps, root2 = np.finfo(float).eps, math.sqrt(2.0)
+    for expm in (batch._expm, lambda y: _scalar_expm(y[None])[0]):
+        for p, q in ((s, t), (1.0, -1.0)):
+            a, b, ab = expm(p * x), expm(q * x), expm((p + q) * x)
+            ta, tb, tab = (float(expm_tolerance(r * x)) for r in (p, q, p + q))
+            size = [np.abs(y).max() for y in (a, b, ab)]
+            bound = 8.0 * (root2 * (ta + tb) + 16.0 * eps) * size[0] * size[1] + root2 * tab * size[2]
+            assert np.abs(batch.matmul(a, b) - ab).max() <= bound
 
 
 def test_exp_rejects_a_non_finite_input():
@@ -352,13 +428,26 @@ def test_exp_rejects_a_non_finite_input():
     for t in (math.nan, math.inf):  # t = inf holds 0 inf = NaN next to inf
         with pytest.raises(ValueError, match="NaN or infinite"):
             exp(X, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="quaternion image"):  # finite input, overflow inside
-            exp(X, 1e6)
+    with pytest.raises(ValueError, match="overflows float64"):  # finite input, overflow inside
+        exp(X, 1e6)
+
+
+def test_exp_overflow_is_named_on_both_routes():
+    # cosh overflows at t = 1e6; at 1e200 the product X^2 overflows first,
+    # and for a double rotation (sigma < 0) that takes cos to inf
+    X = from_coords([0.3, 0.0, 0.0], [0.0, 0.2, 0.0], 0.5, [0.0, 0.0, 0.4])
+    rotations = AlgebraElement(QMat2(*map(Quaternion._make, (2.0 * _Y3 + 3.0 * _X3).reshape(4, 4).tolist())))
+    for Y, t in ((X, 1e6), (X, 1e200), (rotations, 1e200)):
+        with pytest.raises(ValueError, match="overflows float64"):
+            exp(Y, t)
+        chunk = np.array([_X0, t * _blocks(Y), _Y3])  # one element of a chunk
+        with pytest.raises(ValueError, match="overflows float64"):
+            batch.exp(chunk)
+    assert is_member(exp(rotations, 1e6)).passed  # a rotation by a large angle stays bounded
 
 
 def test_scipy_and_the_oracles_stay_out_of_the_package():
-    # scipy.linalg.expm is _expm's oracle; a fresh process shows what the package imports
+    # scipy.linalg.expm is exp's oracle; a fresh process shows what the package imports
     code = ("import sys, ds4\n"
             "from ds4 import algebra\n"
             "algebra.exp(algebra.from_coords([0.3, 0, 0], [0, 0.2, 0], 0.5, [0, 0, 0.4]))\n"

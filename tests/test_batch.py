@@ -185,17 +185,8 @@ def test_one_perturbed_member_in_a_chunk_is_rejected():
         group.certified(_qmat(M[200]))
 
 
-def test_every_batched_check_rejects_a_single_bad_element(monkeypatch):
+def test_every_batched_check_rejects_a_single_bad_element():
     gs, G = _members(410, 16)
-    E = algebra.left_matrices(G)
-    E[5, 2, 5] += 1e-6  # block (0, 1) of one member leaves the image of q -> L(q)
-    with monkeypatch.context() as m:
-        m.setattr(algebra, "_exp_left", lambda a: E)
-        with pytest.raises(ValueError, match="quaternion image"):
-            batch.exp(G)
-        m.setattr(algebra, "_exp_left", lambda a: E[5])
-        with pytest.raises(ValueError, match="quaternion image"):
-            algebra.exp(algebra.AlgebraElement(gs[5].m))
     X = _arr(orbits.base_element(10.0))
     Y = batch.adjoint(G, X)
     for k in range(16):  # a NaN fails wherever it sits, diagonal vector parts included
@@ -258,6 +249,18 @@ def test_batched_checks_switch_at_the_scalar_tolerances():
             else:
                 with pytest.raises(ValueError):
                     check(*args)
+
+
+def test_unit_rejection_reads_the_same_on_both_routes():
+    q = Quaternion(1.1, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError) as scalar:
+        quaternion.ensure_unit(q)
+    assert str(scalar.value) == "not a unit quaternion: |q| = 1.1"
+    for check, args in ((batch.unit, (np.array([q]),)),
+                        (batch.orbit_matrix, (np.array([q]), np.ones((1, 3)), 1.0))):
+        with pytest.raises(ValueError) as err:
+            check(*args)
+        assert str(err.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("trials", [0, 1, 2, 255, 256, 257, 513])

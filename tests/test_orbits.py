@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ds4 import algebra, suites
+from ds4.gamma import QMat2
 from ds4.group import (
     compose,
     inverse,
@@ -42,6 +43,7 @@ from ds4.quaternion import (
     random_unit,
     random_unit_vector,
 )
+from oracles import expm_tolerance
 
 
 def _mixed(rng, i):
@@ -364,6 +366,23 @@ def test_sample_orbit_points_satisfy_conservation():
             c = to_coadjoint_coords(orbit_matrix_of(pt))
             r = conservation_residuals(c, kappa)
             assert max(np.abs(r.r1).max(), abs(r.r2)) < 1e-9
+
+
+@pytest.mark.parametrize("kappa, p_max", [(0.0, 2.0), (0.1, 0.5), (1.0, 5.0), (10.0, 50.0)])
+def test_sample_orbit_matrices_square_to_kappa_squared(kappa, p_max):
+    # block-level, apart from the chart and the residuals: X^2 = kappa^2 I,
+    # so exp X = cosh(kappa) I + (sinh(kappa)/kappa) X, and I + X at kappa = 0.
+    # At kappa = 10 the entries of exp X reach 5e4, beyond what is_member
+    # certifies at 1e-10, so the uncertified core is compared there.
+    one = QMat2.identity()
+    sh = math.sinh(kappa) / kappa if kappa else 1.0
+    for pt in sample_orbit(kappa, 200, p_max, seed=13):
+        X = orbit_matrix_of(pt)
+        assert (X.m @ X.m - one.scale(kappa**2)).max_norm() <= 1e-13 * max(1.0, kappa**2)
+        want = one.scale(math.cosh(kappa)) + X.m.scale(sh)
+        got = algebra._expm(X.m) if kappa > 1.0 else algebra.exp(X).m
+        tol = float(expm_tolerance(np.reshape(X.m, (2, 2, 4))))
+        assert (got - want).max_norm() <= tol * want.max_norm()
 
 
 def test_sample_orbit_validation():
