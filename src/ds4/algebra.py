@@ -27,10 +27,6 @@ GENERATOR_LABELS = ("X1", "X2", "X3", "X0", "Y1", "Y2", "Y3", "Z1", "Z2", "Z3")
 _EK = (E1, E2, E3)
 
 
-def _pure(vec) -> Quaternion:
-    return Quaternion(0.0, float(vec[0]), float(vec[1]), float(vec[2]))
-
-
 class AlgebraElement(NamedTuple):
     m: QMat2
 
@@ -78,9 +74,12 @@ def shape_checked(m):
 
 
 def from_coords(a, j, d0, d) -> AlgebraElement:
-    a, j, d = (np.asarray(x, dtype=float) for x in (a, j, d))
-    top = Quaternion(float(d0), *d.tolist())
-    return AlgebraElement(QMat2(_pure(a + j), top, top.conj(), _pure(j - a)))
+    a1, a2, a3 = map(float, a)
+    j1, j2, j3 = map(float, j)
+    d1, d2, d3 = map(float, d)
+    top = Quaternion(float(d0), d1, d2, d3)
+    return AlgebraElement(QMat2(Quaternion(0.0, a1 + j1, a2 + j2, a3 + j3), top, top.conj(),
+                                Quaternion(0.0, j1 - a1, j2 - a2, j3 - a3)))
 
 
 def to_coords(X) -> tuple[np.ndarray, np.ndarray, np.ndarray | float, np.ndarray]:
@@ -372,5 +371,5 @@ def exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:
 
 def random_element(rng: np.random.Generator) -> AlgebraElement:
     """Coordinates uniform in [-1, 1]^10."""
-    c = rng.uniform(-1.0, 1.0, 10)
-    return from_coords(c[0:3], c[3:6], float(c[6]), c[7:10])
+    c = rng.uniform(-1.0, 1.0, 10).tolist()
+    return from_coords(c[0:3], c[3:6], c[6], c[7:10])

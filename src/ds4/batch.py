@@ -7,16 +7,18 @@ Matrix products run on the real 8x8 left-multiplication matrices of the
 blocks (left_matrices), so a call costs a few numpy calls whatever the
 number of elements; quaternion products are written out component by
 component, with the operations of Quaternion.__mul__ in their order, so
-they are bitwise the scalar ones.  The exponential is algebra.exp's closed
-form, with its two products by matmul; its coefficients take the branch
-most elements fall in over the arrays and the scalar route's function on
-the rest.  Each routine is the twin of the scalar one it names, which
-stays the route for single elements and the reference the tests hold this
-one to; the two read one tolerance constant.  Every check of the scalar
-route runs on every element, and a failure raises the scalar route's
-exception.  The algebra shape check, the (a, j, d0, d) chart and the orbit
-residuals are not twinned: one body serves both routes
-(algebra.shape_checked, algebra.to_coords, orbits.conservation_residuals).
+they are bitwise the scalar ones.  reconstruct is group.reconstruct's
+closed form, six quaternion products and no matrix product.  The
+exponential is algebra.exp's closed form, with its two products by matmul;
+its coefficients take the branch most elements fall in over the arrays and
+the scalar route's function on the rest.  Each routine is the twin of the
+scalar one it names and uses its formula; the scalar one stays the route
+for single elements and the reference the tests hold this one to, and the
+two read one tolerance constant.  Every check of the scalar route runs on
+every element, and a failure raises the scalar route's exception.  The
+algebra shape check, the (a, j, d0, d) chart and the orbit residuals are
+not twinned: one body serves both routes (algebra.shape_checked,
+algebra.to_coords, orbits.conservation_residuals).
 """
 
 from __future__ import annotations
@@ -135,14 +137,14 @@ def certified(m) -> np.ndarray:
 
 def reconstruct(w, psi, v, phi, u) -> np.ndarray:
     """T_st(w) T_tt(psi) T_sr(v) T_bt(phi, u) for (n, 4) unit quaternions w, v
-    and (n, 3) unit directions u, the boost's scalar part being 0 (group.reconstruct)."""
+    and (n, 3) unit directions u, in group.reconstruct's closed form."""
     w, v, u = unit(w), unit(v), unit(u)
-    zero = np.zeros_like(w)
-    ch, sh = np.cosh(0.5 * psi)[:, None] * _I4[0], np.sinh(0.5 * psi)[:, None] * _I4[0]
-    cb = np.cosh(0.5 * phi)[:, None] * _I4[0]
-    su = np.concatenate((zero[:, :1], np.sinh(0.5 * phi)[:, None] * u), -1)
-    return matmul(matmul(matmul(blocks(w, zero, zero, conj(w)), blocks(ch, sh, sh, ch)),
-                         blocks(v, zero, zero, v)), blocks(cb, su, -su, cb))
+    ch, sh = np.cosh(0.5 * psi), np.sinh(0.5 * psi)
+    cb, sb = np.cosh(0.5 * phi), np.sinh(0.5 * phi)
+    p = np.concatenate(((ch * cb)[:, None], (-sh * sb)[:, None] * u), -1)
+    q = np.concatenate(((sh * cb)[:, None], (ch * sb)[:, None] * u), -1)
+    wv, wbv = mul(w, v), mul(conj(w), v)
+    return blocks(mul(wv, p), mul(wv, q), mul(wbv, conj(q)), mul(wbv, conj(p)))
 
 
 def from_coords(a, j, d0, d) -> np.ndarray:

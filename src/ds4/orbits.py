@@ -123,10 +123,6 @@ def orbit_matrix(z: UnitQuaternion, p, kappa: float) -> AlgebraElement:
     return AlgebraElement.from_qmat(QMat2(pq, top, top.conj(), -(z.conj() * pq * z)))
 
 
-def orbit_matrix_of(pt: OrbitPoint) -> AlgebraElement:
-    return orbit_matrix(pt.z, pt.p, pt.kappa)
-
-
 def to_coadjoint_coords(X: AlgebraElement) -> CoadjointCoords:
     """Read (a, j, d0, d) off the blocks of a shape-valid element."""
     return CoadjointCoords(*to_coords(AlgebraElement.from_qmat(X.m)))

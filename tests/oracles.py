@@ -150,7 +150,7 @@ def orbit_lines_pointwise(kappa: float, n: int, p_max: float, seed: int, matrix:
     orbit_matrix, to_coadjoint_coords and conservation_residuals."""
     lines = []
     for pt in orbits.sample_orbit(kappa, n, p_max, seed):
-        X = orbits.orbit_matrix_of(pt)
+        X = orbits.orbit_matrix(*pt)
         coords = orbits.to_coadjoint_coords(X)
         res = orbits.conservation_residuals(coords, pt.kappa)
         record = pt.to_json()

@@ -115,6 +115,10 @@ def test_from_coords_base_cases():
     elt = from_coords((0, 0, 0), (0, 0, 0), 1.0, (0, 0, 0))
     assert (elt.m - generator("X0").m.scale(2.0)).max_norm() == 0.0
     assert from_coords((0, 0, 0), (0, 0, 0), 0.0, (0, 0, 0)).m.max_norm() == 0.0
+    for bad in ((1.0,), (0, 0, 0, 0)):  # a length-1 a once broadcast against j
+        for args in ((bad, (0, 0, 0), 0.0, (0, 0, 0)), ((0, 0, 0), (0, 0, 0), 0.0, bad)):
+            with pytest.raises(ValueError):
+                from_coords(*args)
 
 
 def test_coords_roundtrip():
@@ -356,7 +360,7 @@ def test_exp_of_generators_with_equal_roots():
 @pytest.mark.parametrize("kappa, p_max", [(0.0, 2.0), (0.1, 0.5), (1.0, 5.0), (10.0, 50.0)])
 def test_exp_of_orbit_elements(kappa, p_max):
     # X^2 = kappa^2 I: equal roots, or X^2 = 0 on the massless orbit
-    _assert_expm_within_tolerance([_blocks(orbits.orbit_matrix_of(pt))
+    _assert_expm_within_tolerance([_blocks(orbits.orbit_matrix(*pt))
                                    for pt in orbits.sample_orbit(kappa, 64, p_max, 61)])
 
 

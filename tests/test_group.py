@@ -29,7 +29,7 @@ from ds4.group import (
     t_space_translation,
     t_time_translation,
 )
-from ds4.algebra import to_coords
+from ds4.algebra import from_coords, random_element, to_coords
 from ds4.orbits import adjoint, base_element, conservation_residuals, orbit_matrix, to_coadjoint_coords
 from ds4.quaternion import (
     E1,
@@ -302,6 +302,8 @@ def test_scalar_route_runs_on_python_floats(monkeypatch):
     g = reconstruct(f)
     d = decompose(g)
     X = orbit_matrix(Quaternion(*unit[0]), unit[1][1:], np.float64(0.5))
+    c = rng.uniform(-1.0, 1.0, 10)
+    elements = (from_coords(c[0:3], c[3:6], c[6], c[7:10]), random_element(rng))
     # act_vector hands its product to unslash; x enters as an array and as np.float64 items
     moved = []
     monkeypatch.setattr(group, "unslash", lambda m: moved.append(m) or unslash(m))
@@ -309,7 +311,8 @@ def test_scalar_route_runs_on_python_floats(monkeypatch):
     act_vector(g, list(x.astype(np.float32)))
     components = [*(c for q in g.m for c in q), *(c for q in slash(x) for c in q),
                   *d.w, d.psi, *d.v, d.phi, *d.u, *(c for q in X.m for c in q),
-                  *(c for m in moved for q in m for c in q)]
+                  *(c for m in moved for q in m for c in q),
+                  *(c for Y in elements for q in Y.m for c in q)]
     assert len(moved) == 2
     assert all(type(c) is float for c in components), [type(c) for c in components]
     # one element's chart and orbit residuals hold Python scalars, which JSON encodes;

@@ -26,7 +26,6 @@ from ds4.orbits import (
     energy_quartic_residual,
     massless_orbit_point,
     orbit_matrix,
-    orbit_matrix_of,
     orbit_point_from_group,
     physicalize,
     positive_energy,
@@ -86,7 +85,7 @@ def test_adjoint_preserves_the_orbit_invariant():
     rng = np.random.default_rng(64)
     for i in range(100):
         pts = sample_orbit(1.0, 1, 3.0, seed=1000 + i)
-        X = orbit_matrix_of(pts[0])
+        X = orbit_matrix(*pts[0])
         g = _mixed(rng, i)
         a, j, d0, d = algebra.to_coords(adjoint(g, X))
         invariant = d0**2 + d @ d - a @ a - j @ j
@@ -99,7 +98,7 @@ def test_adjoint_preserves_the_orbit_invariant():
 def test_orbit_point_at_rest():
     pt = orbit_point_from_group(2.0, ONE, 0.0, E1)
     assert pt.z == ONE and np.array_equal(pt.p, np.zeros(3))
-    assert (orbit_matrix_of(pt).m - base_element(2.0).m).max_norm() == 0.0
+    assert (orbit_matrix(*pt).m - base_element(2.0).m).max_norm() == 0.0
 
 
 def test_orbit_point_pure_boost():
@@ -118,7 +117,7 @@ def test_orbit_point_matches_adjoint_transport():
         pt = orbit_point_from_group(kappa, w, phi, u)
         g = compose(t_space_translation(w), t_boost(phi, u))
         transported = adjoint(g, base_element(kappa))
-        assert (transported.m - orbit_matrix_of(pt).m).max_norm() < 1e-11
+        assert (transported.m - orbit_matrix(*pt).m).max_norm() < 1e-11
 
 
 def test_orbit_point_canonicalizes_negative_rapidity():
@@ -166,7 +165,7 @@ def test_conservation_on_constructed_samples():
     theta = 0.8
     w = Quaternion(math.cos(theta / 2), 0.0, 0.0, math.sin(theta / 2))
     pt = orbit_point_from_group(1.0, w, 1.1, E3)
-    c = to_coadjoint_coords(orbit_matrix_of(pt))
+    c = to_coadjoint_coords(orbit_matrix(*pt))
     r = conservation_residuals(c, 1.0)
     assert not r.degenerate
     assert np.abs(c.j - np.cross(c.d, c.a) / c.d0).max() < 1e-14
@@ -190,7 +189,7 @@ def test_conservation_fuzz_transported():
 
 def test_conservation_detects_off_orbit():
     pt = sample_orbit(1.0, 1, 3.0, seed=9)[0]
-    c = to_coadjoint_coords(orbit_matrix_of(pt))
+    c = to_coadjoint_coords(orbit_matrix(*pt))
     tampered = CoadjointCoords(c.a * 1.1, c.j, c.d0, c.d)
     r = conservation_residuals(tampered, 1.0)
     assert abs(r.r2) > 1e-3
@@ -200,7 +199,7 @@ def test_conservation_degenerate_flag():
     # a pure-vector z has vanishing scalar part, so d0 = 0 exactly
     p = np.array([0.0, 0.0, 2.0])
     pt = massless_orbit_point(E2, p)
-    c = to_coadjoint_coords(orbit_matrix_of(pt))
+    c = to_coadjoint_coords(orbit_matrix(*pt))
     assert c.d0 == 0.0
     r = conservation_residuals(c, 0.0)
     assert r.degenerate
@@ -363,7 +362,7 @@ def test_sample_orbit_measure_symmetry():
 def test_sample_orbit_points_satisfy_conservation():
     for kappa in (0.5, 1.0):
         for pt in sample_orbit(kappa, 200, 5.0 * kappa, seed=11):
-            c = to_coadjoint_coords(orbit_matrix_of(pt))
+            c = to_coadjoint_coords(orbit_matrix(*pt))
             r = conservation_residuals(c, kappa)
             assert max(np.abs(r.r1).max(), abs(r.r2)) < 1e-9
 
@@ -377,7 +376,7 @@ def test_sample_orbit_matrices_square_to_kappa_squared(kappa, p_max):
     one = QMat2.identity()
     sh = math.sinh(kappa) / kappa if kappa else 1.0
     for pt in sample_orbit(kappa, 200, p_max, seed=13):
-        X = orbit_matrix_of(pt)
+        X = orbit_matrix(*pt)
         assert (X.m @ X.m - one.scale(kappa**2)).max_norm() <= 1e-13 * max(1.0, kappa**2)
         want = one.scale(math.cosh(kappa)) + X.m.scale(sh)
         got = algebra._expm(X.m) if kappa > 1.0 else algebra.exp(X).m
@@ -411,7 +410,7 @@ def test_massless_point_properties():
     p = np.array([0.0, 3.0, 4.0])
     pt = massless_orbit_point(Quaternion(0.6, 0.8, 0.0, 0.0), p)
     assert pt.kappa == 0.0 and pt.p0 == 5.0
-    c = to_coadjoint_coords(orbit_matrix_of(pt))
+    c = to_coadjoint_coords(orbit_matrix(*pt))
     r = conservation_residuals(c, 0.0)
     assert abs(r.r2) < 1e-10
     with pytest.raises(ValueError):
