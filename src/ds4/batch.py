@@ -16,22 +16,19 @@ scalar one it names and uses its formula; the scalar one stays the route
 for single elements and the reference the tests hold this one to, and the
 two read one tolerance constant.  Every check of the scalar route runs on
 every element, and a failure raises the scalar route's exception.  The
-algebra shape check, the (a, j, d0, d) chart and the orbit residuals are
-not twinned: one body serves both routes (algebra.shape_checked,
-algebra.to_coords, orbits.conservation_residuals).
+algebra shape check, the (a, j, d0, d) chart, the orbit matrix, the adjoint
+transport and the orbit residuals are not twinned: one body serves one
+element and a stack (algebra.shape_checked, algebra.to_coords, and
+orbits.orbit_matrix, adjoint and conservation_residuals, which use this module).
 """
 
 from __future__ import annotations
 
-import math
-from itertools import repeat
-
 import numpy as np
 
-from .algebra import _CONJ, _NOT_FINITE, _OVERFLOW, _SERIES_RADIUS, shape_checked
+from .algebra import _CONJ, _NOT_FINITE, _OVERFLOW, _SERIES_RADIUS
 from .algebra import _exp_coefficients as _scalar_exp_coefficients
 from .group import MEMBER_TOL, MembershipReport, NonMemberError
-from .orbits import _dot
 from .quaternion import UNIT_TOL, Quaternion
 
 #: Trials per array in a suite run; bounds the peak memory.
@@ -90,17 +87,14 @@ def inverse(m) -> np.ndarray:
     return dagger(m) * np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
 
 
-def _unit_norms(n) -> np.ndarray:
-    """The norms n, or ValueError at the first off 1 by more than UNIT_TOL (ensure_unit)."""
+def unit(q) -> np.ndarray:
+    """Normalize each q, or ValueError at the first norm off 1 by more than
+    UNIT_TOL (ensure_unit)."""
+    n = np.sqrt(norm2(q))[..., None]
     bad = ~(np.abs(n - 1.0) <= UNIT_TOL)
     if bad.any():
         raise ValueError(f"not a unit quaternion: |q| = {float(n[bad][0])!r}")
-    return n
-
-
-def unit(q) -> np.ndarray:
-    """Normalize each q, rejecting a norm off 1 (ensure_unit)."""
-    return q / _unit_norms(np.sqrt(norm2(q)))[..., None]
+    return q / n
 
 
 def random_unit(rng: np.random.Generator, n: int, dim: int = 4) -> np.ndarray:
@@ -196,27 +190,6 @@ def _expm(x) -> np.ndarray:
 def exp(x) -> np.ndarray:
     """exp of algebra elements by _expm, certified (algebra.exp)."""
     return certified(_expm(x))
-
-
-def adjoint(g, x) -> np.ndarray:
-    """g x g^-1, shape-checked (orbits.adjoint)."""
-    return shape_checked(matmul(matmul(g, x), inverse(g)))
-
-
-def orbit_matrix(z, p, kappa: float) -> np.ndarray:
-    """(p, p0 z; p0 conj(z), -conj(z) p z) for (n, 4) z and (n, 3) p, row for
-    row bitwise orbits.orbit_matrix.  As there, |z| is the 4-argument
-    math.hypot and p0 = math.hypot(kappa, |p|), taken point by point: numpy's
-    sqrt of the squared norm and np.hypot round differently."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    n = _unit_norms(np.fromiter(map(math.hypot, *z.T.tolist()), float, len(z)))
-    z = z * (1.0 / n)[:, None]
-    norm_p = np.sqrt(_dot(p, p)).tolist()  # bitwise np.linalg.norm of each row
-    p0 = np.fromiter(map(math.hypot, repeat(kappa), norm_p), float, len(p))
-    pq = np.concatenate((np.zeros((len(p), 1)), p), -1)
-    top = z * p0[:, None]
-    return shape_checked(blocks(pq, top, conj(top), -mul(mul(conj(z), pq), z)))
 
 
 def members(rng: np.random.Generator, n: int) -> np.ndarray:

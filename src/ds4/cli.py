@@ -184,7 +184,7 @@ def _orbit_lines(points, kappa: float, matrix: bool) -> list[str]:
         chunk = points[start:start + batch.CHUNK]
         z = np.array([pt.z for pt in chunk])
         p = np.array([pt.p for pt in chunk])
-        X = batch.orbit_matrix(z, p, kappa)
+        X = orbits.orbit_matrix(z, p, kappa)
         a, j, d0, d = algebra.to_coords(X)
         r1, r2, degenerate = orbits.conservation_residuals((a, j, d0, d), kappa)
         matrices = X.reshape(-1, 4, 4).tolist() if matrix else [None] * len(chunk)

@@ -16,10 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, from_coords, to_coords
-from .gamma import QMat2
-from .group import GroupElement, _qmat, inverse
-from .quaternion import Quaternion, UnitQuaternion, ensure_pure_unit, ensure_unit, random_unit
+from .algebra import AlgebraElement, _blocks, from_coords, shape_checked, to_coords
+from .gamma import QMat2, _quaternion
+from .quaternion import Quaternion, UnitQuaternion, _gaussian, ensure_pure_unit, ensure_unit, random_unit
 
 
 class OrbitPoint(NamedTuple):
@@ -80,17 +79,34 @@ class PhysicalState(NamedTuple):
     R: float
 
 
+def _checked_kappa(kappa: float, p_max: float = 1.0) -> float:
+    """kappa, or ValueError unless it is finite and nonnegative and p_max finite and positive."""
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa!r}")
+    if not 0.0 < p_max < math.inf:
+        raise ValueError(f"need a finite positive momentum window, got {p_max!r}")
+    return float(kappa)
+
+
+def _element(X) -> AlgebraElement:
+    """One matrix's (2, 2, 4) blocks, already shape-checked, on Python floats."""
+    return AlgebraElement(QMat2(*map(_quaternion, X.reshape(4, 4).tolist())))
+
+
 def base_element(kappa: float) -> AlgebraElement:
     """The orbit seed 2 kappa X0."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    return from_coords((0, 0, 0), (0, 0, 0), float(kappa), (0, 0, 0))
+    return from_coords((0, 0, 0), (0, 0, 0), _checked_kappa(kappa), (0, 0, 0))
 
 
-def adjoint(g: GroupElement, X: AlgebraElement) -> AlgebraElement:
-    """Conjugation g X g^-1; stays in the algebra shape."""
-    m = _qmat(g) @ X.m @ inverse(g).m
-    return AlgebraElement.from_qmat(m)
+def adjoint(g, X):
+    """g X g^-1 by batch.matmul, shape-checked: an AlgebraElement for one GroupElement
+    and one AlgebraElement, (..., 2, 2, 4) blocks when either is given as blocks."""
+    from . import batch  # the array route; `import ds4` starts without it
+
+    single = isinstance(g, tuple) and isinstance(X, tuple)
+    g, X = _blocks(g), _blocks(X)
+    Y = shape_checked(batch.matmul(batch.matmul(g, X), batch.inverse(g)))
+    return _element(Y) if single else Y
 
 
 def orbit_point_from_group(kappa: float, w: UnitQuaternion, phi: float,
@@ -100,27 +116,29 @@ def orbit_point_from_group(kappa: float, w: UnitQuaternion, phi: float,
     z = w^2 and p = kappa sinh(phi) (w u conj(w)); negative rapidity is
     folded into the direction so phi >= 0 canonically.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    w = ensure_unit(w)
-    u = ensure_pure_unit(u)
+    kappa, w, u = _checked_kappa(kappa), ensure_unit(w), ensure_pure_unit(u)
     if phi < 0:
         phi, u = -phi, -u
     direction = w * u * w.conj()
     p = direction.v * (kappa * math.sinh(phi))
-    return OrbitPoint(w * w, p, float(kappa))
+    return OrbitPoint(w * w, p, kappa)
 
 
-def orbit_matrix(z: UnitQuaternion, p, kappa: float) -> AlgebraElement:
-    """Algebra element (p, p0 z; p0 conj(z), -conj(z) p z) of an orbit point."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    z = ensure_unit(z)
-    p = np.asarray(p, dtype=float)
-    pq = Quaternion(0.0, *p.tolist())
-    p0 = math.hypot(kappa, math.sqrt(p.dot(p)))
-    top = z.scale(p0)
-    return AlgebraElement.from_qmat(QMat2(pq, top, top.conj(), -(z.conj() * pq * z)))
+def orbit_matrix(z, p, kappa: float):
+    """(p, p0 z; p0 conj(z), -conj(z) p z) with p0 = hypot(kappa, |p|) and z
+    normalized by batch.unit: an AlgebraElement for one point (4 components
+    of z, 3 of p), (..., 2, 2, 4) blocks for (..., 4) z and (..., 3) p."""
+    from . import batch  # the array route; `import ds4` starts without it
+
+    kappa = _checked_kappa(kappa)
+    z, p = np.asarray(z, dtype=float), np.asarray(p, dtype=float)
+    if z.shape[-1:] != (4,) or p.shape != z.shape[:-1] + (3,):
+        raise ValueError(f"need z of shape (..., 4) and p of shape (..., 3), got {z.shape} and {p.shape}")
+    z = batch.unit(z)
+    pq = np.concatenate((np.zeros(p.shape[:-1] + (1,)), p), -1)
+    top = z * np.hypot(kappa, np.sqrt(_dot(p, p)))[..., None]
+    X = shape_checked(batch.blocks(pq, top, batch.conj(top), -batch.mul(batch.mul(batch.conj(z), pq), z)))
+    return X if z.ndim > 1 else _element(X)
 
 
 def to_coadjoint_coords(X: AlgebraElement) -> CoadjointCoords:
@@ -180,17 +198,18 @@ def physicalize(coords: CoadjointCoords, m: float, c: float, R: float) -> Physic
     return PhysicalState(coords.d0, p, q, cross(q, p), m, c, R)
 
 
-def energy_quartic_residual(st: PhysicalState) -> float:
-    """Value of the quartic energy constraint at the state, over its leading
-    axes; zero on orbit.
+def _quartic(m: float, c: float, R: float, p, q, l):
+    """B and C of the energy quartic E^4 + B E^2 + C, over leading axes:
+    B = -m^2 c^4 - c^2 p.p + (m^2 c^4 / R^2) q.q and C = -(m^2 c^6 / R^2) l.l."""
+    B = -(m * c**2) ** 2 - c**2 * _dot(p, p) + (m * c**2 / R) ** 2 * _dot(q, q)
+    return B, -(m**2 * c**6 / R**2) * _dot(l, l)
 
-    E^4 + E^2 (-m^2 c^4 - c^2 p.p + (m^2 c^4 / R^2) q.q)
-        - (m^2 c^6 / R^2) l.l
-    """
-    m, c, R = st.m, st.c, st.R
+
+def energy_quartic_residual(st: PhysicalState) -> float:
+    """Value of the quartic energy constraint (_quartic) at the state, over
+    its leading axes; zero on orbit."""
+    B, C = _quartic(st.m, st.c, st.R, st.p, st.q, st.l)
     E2 = st.E**2
-    B = -(m * c**2) ** 2 - c**2 * _dot(st.p, st.p) + (m * c**2 / R) ** 2 * _dot(st.q, st.q)
-    C = -(m**2 * c**6 / R**2) * _dot(st.l, st.l)
     return E2 * E2 + E2 * B + C
 
 
@@ -200,11 +219,8 @@ def positive_energy(m: float, c: float, p, q, R: float) -> float:
     The larger E^2 root is the branch that survives the flat limit; the
     sign of E itself is fixed positive by convention.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    l = cross(q, p)
-    B = -(m * c**2) ** 2 - c**2 * (p @ p) + (m * c**2 / R) ** 2 * (q @ q)
-    C = -(m**2 * c**6 / R**2) * (l @ l)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    B, C = _quartic(m, c, R, p, q, cross(q, p))
     disc = B * B - 4.0 * C
     if disc < 0:
         raise ArithmeticError("quartic has no real root; invalid inputs")
@@ -226,8 +242,7 @@ def contraction_sweep(m: float, c: float, p, q, R_list) -> np.ndarray:
         raise ValueError("need a one-dimensional list of radii")
     if not (np.all(R_list > 0) and np.all(np.diff(R_list) > 0)):
         raise ValueError("radii must be positive and increasing")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     shell = c**2 * (p @ p) + (m * c**2) ** 2
     rows = np.empty((len(R_list), 3))
     for i, R in enumerate(R_list):
@@ -256,24 +271,17 @@ def sample_orbit(kappa: float, n: int, p_max: float, seed: int) -> list[OrbitPoi
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
-    if p_max <= 0:
-        raise ValueError("need a positive momentum window")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    kappa = _checked_kappa(kappa, p_max)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
         z = random_unit(rng)
-        while True:
-            direction = rng.normal(size=3)
-            nd = math.sqrt(direction.dot(direction))
-            if nd > 1e-12:
-                break
+        direction, nd = _gaussian(rng, 3)
         radius = p_max * rng.uniform() ** (1.0 / 3.0)
         p = direction * (radius / nd)
         if kappa == 0.0 and p.dot(p) == 0.0:
             p = np.array([0.0, 0.0, p_max])  # measure-zero guard for massless draws
-        out.append(OrbitPoint(z, p, float(kappa)))
+        out.append(OrbitPoint(z, p, kappa))
     return out
 
 

@@ -7,9 +7,9 @@ determinants are the Study determinant in closed form on the quaternionic
 blocks.  The scalar route runs on Python floats, since a numpy scalar makes
 every product after it slower; components are converted exactly where they
 enter (from_json, ensure_unit, ensure_pure_unit, random_unit,
-random_unit_vector, gamma.slash, group.act_vector, group.decompose and
-orbits.orbit_matrix) and where they leave the array bodies that also serve
-single elements (algebra.to_coords, orbits.conservation_residuals).
+random_unit_vector, gamma.slash, group.act_vector, group.decompose) and where
+they leave the array bodies that also serve single elements (algebra.to_coords,
+orbits.orbit_matrix, orbits.adjoint, orbits.conservation_residuals).
 The 2x2 complex embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k)
 is kept for the independent cross-checks in the test suite; no route of the
 package computes in it.
@@ -148,19 +148,22 @@ def embed(q) -> np.ndarray:
     return (q.reshape(-1, 4) @ _BASIS).view(complex).reshape(q.shape[:-1] + (2, 2))
 
 
-def random_unit(rng: np.random.Generator) -> Quaternion:
-    """Uniform draw from the unit 3-sphere (normalized Gaussian 4-vector)."""
+def _gaussian(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, float]:
+    """A standard normal dim-vector and its norm, redrawn while the norm is <= 1e-12."""
     while True:
-        g = rng.normal(size=4)
+        g = rng.normal(size=dim)
         n = math.sqrt(g.dot(g))  # np.linalg.norm's own route for 1-D input
         if n > 1e-12:
-            return Quaternion(*(g / n).tolist())
+            return g, n
+
+
+def random_unit(rng: np.random.Generator) -> Quaternion:
+    """Uniform draw from the unit 3-sphere (normalized Gaussian 4-vector)."""
+    g, n = _gaussian(rng, 4)
+    return Quaternion(*(g / n).tolist())
 
 
 def random_unit_vector(rng: np.random.Generator) -> Quaternion:
     """Uniform unit pure-vector quaternion (direction on the 2-sphere)."""
-    while True:
-        g = rng.normal(size=3)
-        n = math.sqrt(g.dot(g))
-        if n > 1e-12:
-            return Quaternion(0.0, *(g / n).tolist())
+    g, n = _gaussian(rng, 3)
+    return Quaternion(0.0, *(g / n).tolist())

@@ -171,12 +171,12 @@ def suite_orbits(trials: int, rng) -> tuple[int, float]:
         for start in range(0, count, batch.CHUNK):
             n = min(batch.CHUNK, count - start)
             x = seed_of(n)
-            yield batch.adjoint(batch.members(rng, n), x)
+            yield orbits.adjoint(batch.members(rng, n), x)
 
     def massless(n: int):
         z = batch.random_unit(rng, n)
         p = batch.random_unit(rng, n, 3) * rng.uniform(0.1, 2.0, n)[:, None]
-        return batch.orbit_matrix(z, p, 0.0)
+        return orbits.orbit_matrix(z, p, 0.0)
 
     worst = 0.0
     for kappa in (0.1, 1.0, 10.0):

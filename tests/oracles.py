@@ -4,8 +4,7 @@ random inputs the tests feed them.
 The routes go through the 4x4 complex embedding and generic numpy or scipy
 linear algebra, through generic QMat2 products of the factor matrices, or
 through a Taylor polynomial on real 8x8 matrices, never through the
-quaternionic closed forms under test.  The one exception is `ds4 orbit`,
-whose array route is held to the scalar one point by point.
+quaternionic closed forms under test.
 """
 
 import json
@@ -104,6 +103,34 @@ def inverse_via_embedding(g) -> QMat2:
     return qmat_from_embedding(np.linalg.inv(G))
 
 
+def adjoint_via_embedding(g, X) -> np.ndarray:
+    """G X G^-1 of (..., 2, 2, 4) blocks in the 4x4 embedding, G^-1 by
+    np.linalg.inv, read back as blocks."""
+    G = embed_blocks(g)
+    return extract_blocks(G @ embed_blocks(X) @ np.linalg.inv(G))
+
+
+def rotation(z) -> np.ndarray:
+    """(..., 3, 3) matrices R with R v = z v conj(z), for (..., 4) unit quaternions z."""
+    s, x, y, w = np.moveaxis(np.asarray(z, dtype=float), -1, 0)
+    R = np.array([
+        [1 - 2 * (y * y + w * w), 2 * (x * y - s * w), 2 * (x * w + s * y)],
+        [2 * (x * y + s * w), 1 - 2 * (x * x + w * w), 2 * (y * w - s * x)],
+        [2 * (x * w - s * y), 2 * (y * w + s * x), 1 - 2 * (x * x + y * y)],
+    ])
+    return np.moveaxis(R, (0, 1), (-2, -1))
+
+
+def orbit_coords_via_rotation(z, p, kappa: float):
+    """(a, j, d0, d) of the orbit matrix (p, p0 z; p0 conj(z), -conj(z) p z)
+    over leading axes, with conj(z) p z = R(z)^T p and p0 = sqrt(kappa^2 + p.p):
+    a = (p + R^T p)/2, j = (p - R^T p)/2, d0 = p0 z_s and d = p0 z_v."""
+    z, p = np.asarray(z, dtype=float), np.asarray(p, dtype=float)
+    back = (np.swapaxes(rotation(z), -2, -1) @ p[..., None])[..., 0]
+    p0 = np.sqrt(kappa * kappa + (p * p).sum(-1))
+    return 0.5 * (p + back), 0.5 * (p - back), p0 * z[..., 0], p0[..., None] * z[..., 1:]
+
+
 def is_member_via_qmat(m, tol: float = 1e-10) -> MembershipReport:
     """group.is_member as Quaternion and QMat2 expressions: the pivoted Schur
     complement and the sandwich dagger(m) gamma^0 m - gamma^0 as QMat2 objects."""
@@ -146,8 +173,8 @@ def lorentz_factor_via_products(m: QMat2, w: Quaternion, psi: float) -> QMat2:
 
 
 def orbit_lines_pointwise(kappa: float, n: int, p_max: float, seed: int, matrix: bool) -> str:
-    """`ds4 orbit` stdout built record by record through the scalar route:
-    orbit_matrix, to_coadjoint_coords and conservation_residuals."""
+    """`ds4 orbit` stdout built record by record through the single-point
+    forms of orbit_matrix, to_coadjoint_coords and conservation_residuals."""
     lines = []
     for pt in orbits.sample_orbit(kappa, n, p_max, seed):
         X = orbits.orbit_matrix(*pt)

@@ -1,14 +1,18 @@
-"""The batched array route against its scalar twins.
+"""The batched array route against its scalar twins, and the orbit matrix
+and the adjoint transport against independent oracles.
 
 Tolerances come from float64 round-off: a product entry is a sum of at
 most 8 terms, so two summation orders differ by at most 16 eps times the
 sum of their magnitudes, bounded below by the factors' max-norms.  Where
-both routes do the same operations on the same inputs (quaternion products,
-the orbit matrix) the results must be equal.  reconstruct does the same
-products as group.reconstruct, but on numpy's cosh, sinh and normalization,
-which round differently in the last bits; its bound is derived in its test.
-The algebra-shape check, the chart and the orbit residuals have one body for
-both routes; here it runs on stacks.
+both routes do the same operations on the same inputs (quaternion products)
+the results must be equal.  reconstruct does the same products as
+group.reconstruct, but on numpy's cosh, sinh and normalization, which round
+differently in the last bits; its bound is derived in its test.  The orbit
+matrix and the adjoint transport have one body for one element and for
+stacks (orbits.orbit_matrix, orbits.adjoint), held here to the rotation-matrix
+form of conj(z) p z and to G X G^-1 in the 4x4 embedding; the algebra-shape
+check, the chart and the orbit residuals have one body too.  Here they run
+on stacks.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ from ds4 import algebra, batch, gamma, group, orbits, quaternion, suites
 from ds4.gamma import QMat2
 from ds4.group import DecompositionFactors, NonMemberError
 from ds4.quaternion import Quaternion, random_unit, random_unit_vector
+from oracles import adjoint_via_embedding, orbit_coords_via_rotation
 
 EPS = np.finfo(float).eps
 KAPPAS = (0.1, 1.0, 10.0)
@@ -130,16 +135,24 @@ def test_exp_routes_avoid_the_embedding(monkeypatch):
     assert group.is_member(algebra.exp(algebra.AlgebraElement(_qmat(x[0])))).passed
 
 
-def test_adjoint_coords_and_ratio_match_scalar():
+def test_adjoint_matches_the_embedding_oracle():
+    # The two 8x8 products are within 16 eps s^2 |X| of exact, s the max-norm
+    # of g.  np.linalg.inv's error grows like eps cond(G) |G^-1| (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, ch. 14), and the
+    # inverse of a member is as large as the member, so the oracle's error is
+    # of order eps s^4 |X|.  The worst seen over 40 seeds of 64 members, and
+    # over 300 members at rapidities up to 6, is 16 EPS s^4 |X|.
     gs, G = _members(405)
+    s4 = np.array([_scale(_arr(g)) ** 4 for g in gs])
     seeds = [(k, orbits.base_element(k)) for k in KAPPAS]
     seeds += [(0.0, X) for X in _massless(406)]
     for kappa, X in seeds:
-        Y = batch.adjoint(G, _arr(X))
-        scalar = [orbits.adjoint(g, X) for g in gs]
+        Y = orbits.adjoint(G, _arr(X))
+        err = np.abs(Y - adjoint_via_embedding(G, _arr(X))).max(axis=(-3, -2, -1))
+        assert (err <= 64 * EPS * s4 * _scale(_arr(X))).all()
+        assert np.array_equal(_arr(orbits.adjoint(gs[7], X)), Y[7])  # one element, the same body
         worst = 0.0
-        for g, y, Ys in zip(gs, Y, scalar):
-            assert np.abs(y - _arr(Ys)).max() <= 256 * EPS * _scale(_arr(g)) ** 2 * _scale(_arr(X))
+        for y in Y:
             c = orbits.to_coadjoint_coords(algebra.AlgebraElement(_qmat(y)))
             r1 = c.d0 * c.j - np.cross(c.d, c.a)
             r2 = orbits.conservation_residuals(c, kappa).r2
@@ -147,25 +160,32 @@ def test_adjoint_coords_and_ratio_match_scalar():
         assert suites._conservation_ratio(Y, kappa) == worst / (1e-9 * max(1.0, kappa**2))
 
 
-def test_orbit_matrix_and_quartic_match_scalar():
+def test_orbit_matrix_matches_the_rotation_oracle():
+    # With u = EPS/2: the rotation form rounds each entry of R(z) within 3u and
+    # each component of R^T p within 6u of |p|; the quaternion route's two
+    # products round within 8u of |p| each, and its normalization of z and
+    # its p0 within 2u.  So every coordinate is within 16 EPS max(1, p0) of the
+    # oracle's, |p| <= p0.  The worst seen over 50 seeds of 256 points with
+    # |p| up to 20 is 2.8 EPS max(1, p0).
     rng = np.random.default_rng(407)
-    z = np.array([random_unit(rng) for _ in range(32)])
+    z = batch.random_unit(rng, 32)
     z[5] = (0.0, 0.6, 0.8, 0.0)  # d0 = p0 z.s = 0: the degenerate form of r1
-    p = rng.normal(size=(32, 3))
-    # np.hypot(kappa, |p|) rounds differently from math.hypot here, for kappa = 0.1, 1, 10
-    p[6:9] = [[1.6866955266853711, 0, 0], [0.3736641175058505, 0, 0], [2.3219163760233608, 0, 0]]
+    p = rng.normal(size=(32, 3)) * rng.uniform(0.0, 20.0, (32, 1))
     for kappa in (0.0, *KAPPAS):
-        got = batch.orbit_matrix(z, p, kappa)
+        got = orbits.orbit_matrix(z, p, kappa)
+        assert np.array_equal(got[:, 0, 0, 1:], p) and not got[:, 0, 0, 0].any()
+        bound = 16 * EPS * np.maximum(1.0, np.sqrt(kappa**2 + (p * p).sum(-1)))
+        for c, want in zip(algebra.to_coords(got), orbit_coords_via_rotation(z, p, kappa)):
+            assert (np.abs(c - want).reshape(32, -1).max(-1) <= bound).all()
         res = orbits.conservation_residuals(algebra.to_coords(got), kappa)
         assert res.degenerate.tolist() == [k == 5 for k in range(32)]
-        for k in range(32):
-            X = orbits.orbit_matrix(Quaternion(*z[k]), p[k], kappa)
-            assert np.array_equal(got[k], _arr(X))
-            want = orbits.conservation_residuals(orbits.to_coadjoint_coords(X), kappa)
-            assert np.array_equal(res.r1[k], want.r1)
-            assert res.r2[k] == want.r2 and res.degenerate[k] == want.degenerate
+        for k in (0, 5):  # one point, the same body
+            assert np.array_equal(_arr(orbits.orbit_matrix(Quaternion(*z[k]), p[k], kappa)), got[k])
+
+
+def test_energy_quartic_reads_a_stack_point_by_point():
     gs, G = _members(408, 32)
-    Y = batch.adjoint(G, _arr(orbits.base_element(1.0)))
+    Y = orbits.adjoint(G, _arr(orbits.base_element(1.0)))
     st_batch = orbits.physicalize(orbits.CoadjointCoords(*algebra.to_coords(Y)), 1.0, 1.0, 10.0)
     res = orbits.energy_quartic_residual(st_batch)
     for k, y in enumerate(Y):
@@ -188,9 +208,8 @@ def test_wide_rapidity_members_match_scalar(psi, phi, seed):
     assert abs(det[0] - rep.det_defect) <= 256 * EPS * s**4
     assert abs(unit[0] - rep.pseudo_unitarity_defect) <= 128 * EPS * s**2
     assert np.array_equal(batch.inverse(G)[0], _arr(group.inverse(_qmat(G[0]))))
-    X = orbits.base_element(1.0)
-    Y = batch.adjoint(G, _arr(X))[0]
-    assert np.abs(Y - _arr(orbits.adjoint(_qmat(G[0]), X))).max() <= 256 * EPS * s**2
+    X = _arr(orbits.base_element(1.0))  # the bound of test_adjoint_matches_the_embedding_oracle
+    assert np.abs(orbits.adjoint(G, X) - adjoint_via_embedding(G, X)).max() <= 64 * EPS * s**4
 
 
 def test_one_perturbed_member_in_a_chunk_is_rejected():
@@ -215,7 +234,7 @@ def test_one_perturbed_member_in_a_chunk_is_rejected():
 def test_every_batched_check_rejects_a_single_bad_element():
     gs, G = _members(410, 16)
     X = _arr(orbits.base_element(10.0))
-    Y = batch.adjoint(G, X)
+    Y = orbits.adjoint(G, X)
     for k in range(16):  # a NaN fails wherever it sits, diagonal vector parts included
         bad = Y.reshape(16, 16).copy()
         bad[3, k] = np.nan
@@ -226,7 +245,7 @@ def test_every_batched_check_rejects_a_single_bad_element():
         algebra.shape_checked(Y)
     X[0, 0, 0] = 1e-6  # conjugation keeps the identity part off the algebra shape
     with pytest.raises(ValueError):
-        batch.adjoint(G, X)
+        orbits.adjoint(G, X)
     with pytest.raises(ValueError):
         orbits.adjoint(gs[0], algebra.AlgebraElement(_qmat(X)))
     c = np.random.default_rng(411).uniform(-1.0, 1.0, (8, 10))
@@ -244,14 +263,14 @@ def test_every_batched_check_rejects_a_single_bad_element():
     z = np.array([random_unit(np.random.default_rng(k)) for k in range(8)])
     z[6] *= 1.0 + 1e-8
     with pytest.raises(ValueError):
-        batch.orbit_matrix(z, np.ones((8, 3)), 0.0)
+        orbits.orbit_matrix(z, np.ones((8, 3)), 0.0)
     nan = z / np.linalg.norm(z, axis=-1)[:, None]
     nan[6, 2] = np.nan  # NaN fails the unit check, as in ensure_unit
     for bad in (nan, nan[:, 1:]):
         with pytest.raises(ValueError, match="not a unit quaternion"):
             batch.unit(bad)
     with pytest.raises(ValueError, match="not a unit quaternion"):
-        batch.orbit_matrix(nan, np.ones((8, 3)), 0.0)
+        orbits.orbit_matrix(nan, np.ones((8, 3)), 0.0)
     with pytest.raises(ValueError):
         batch.reconstruct(z, np.zeros(8), z / np.linalg.norm(z, axis=-1)[:, None],
                           np.zeros(8), np.ones((8, 3)) / np.sqrt(3.0))
@@ -269,7 +288,7 @@ def test_batched_checks_switch_at_the_scalar_tolerances():
         w[1, 0] += k * 1e-9
         y[3, 0, 0, 0] = k * 1e-10
         for check, args in ((batch.certified, (g,)), (batch.unit, (w,)),
-                            (batch.orbit_matrix, (w, np.ones((4, 3)), 1.0)),
+                            (orbits.orbit_matrix, (w, np.ones((4, 3)), 1.0)),
                             (algebra.shape_checked, (y,))):
             if passes:
                 check(*args)
@@ -283,8 +302,8 @@ def test_unit_rejection_reads_the_same_on_both_routes():
     with pytest.raises(ValueError) as scalar:
         quaternion.ensure_unit(q)
     assert str(scalar.value) == "not a unit quaternion: |q| = 1.1"
-    for check, args in ((batch.unit, (np.array([q]),)),
-                        (batch.orbit_matrix, (np.array([q]), np.ones((1, 3)), 1.0))):
+    for check, args in ((batch.unit, (np.array([q]),)), (orbits.orbit_matrix, (q, np.ones(3), 1.0)),
+                        (orbits.orbit_matrix, (np.array([q]), np.ones((1, 3)), 1.0))):
         with pytest.raises(ValueError) as err:
             check(*args)
         assert str(err.value) == str(scalar.value)

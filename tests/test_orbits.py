@@ -141,6 +141,45 @@ def test_orbit_matrix_blocks():
         orbit_matrix(z, p, -1.0)
 
 
+def test_orbit_matrix_takes_one_point_or_a_stack():
+    z, p = Quaternion(0.6, 0.0, 0.8, 0.0), np.array([0.3, -0.4, 1.2])
+    X = orbit_matrix(z, p, 1.0)
+    assert isinstance(X, algebra.AlgebraElement) and all(type(c) is float for q in X.m for c in q)
+    Y = orbit_matrix(np.array([z, z, z]), np.array([p, -p, p]), 1.0)
+    assert Y.shape == (3, 2, 2, 4) and np.array_equal(Y[2], np.reshape(X.m, (2, 2, 4)))
+    assert orbit_matrix(np.array([[z]]), np.array([[p]]), 1.0).shape == (1, 1, 2, 2, 4)
+    zs, ps = np.array([z, z]), np.array([p, p])
+    # a 6-vector p is not two points, and a stack needs one p per z
+    for bad_z, bad_p in ((z, np.tile(p, 2)), (z, p[:2]), (tuple(z)[:3], p), (zs, p),
+                         (zs, np.array([p, p, p])), (zs.T, ps), (zs, ps.T)):
+        with pytest.raises(ValueError, match="shape"):
+            orbit_matrix(bad_z, bad_p, 1.0)
+
+
+def test_adjoint_takes_one_element_or_a_stack():
+    rng = np.random.default_rng(67)
+    gs = [_mixed(rng, i) for i in range(4)]
+    X = algebra.random_element(rng)
+    one = adjoint(gs[1], X)
+    assert isinstance(one, algebra.AlgebraElement) and all(type(c) is float for q in one.m for c in q)
+    G = np.reshape([g.m for g in gs], (4, 2, 2, 4))
+    for Y in (adjoint(G, X), adjoint(G, np.reshape(X.m, (2, 2, 4))), adjoint(G, np.reshape([X.m] * 4, (4, 2, 2, 4)))):
+        assert Y.shape == (4, 2, 2, 4) and np.array_equal(Y[1], np.reshape(one.m, (2, 2, 4)))
+    assert np.array_equal(adjoint(gs[1], np.reshape(X.m, (2, 2, 4))), np.reshape(one.m, (2, 2, 4)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_kappa_and_momentum_window_must_be_finite(bad):
+    z, p = Quaternion(1.0, 0.0, 0.0, 0.0), np.array([0.3, -0.4, 1.2])
+    for call in (lambda: base_element(bad), lambda: sample_orbit(bad, 3, 1.0, 0),
+                 lambda: orbit_point_from_group(bad, ONE, 0.5, E1), lambda: orbit_matrix(z, p, bad),
+                 lambda: orbit_matrix(np.array([z]), np.array([p]), bad)):
+        with pytest.raises(ValueError, match="kappa must be finite and nonnegative"):
+            call()
+    with pytest.raises(ValueError, match="finite positive momentum window"):
+        sample_orbit(1.0, 3, bad, 0)
+
+
 # ---------------------------------------------------------------------------
 # dual coordinates and conservation laws
 

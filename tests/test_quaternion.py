@@ -129,7 +129,7 @@ def test_ensure_unit():
     assert ensure_unit(q).norm() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         ensure_unit(Quaternion(1.1, 0.0, 0.0, 0.0))
-    # the one unit tolerance 1e-9, which batch.unit and batch.orbit_matrix read too
+    # the one unit tolerance 1e-9, which batch.unit, and orbits.orbit_matrix through it, read too
     ensure_unit(Quaternion(1.0 - 0.5e-9, 0.0, 0.0, 0.0))
     for e in (2e-9, -2e-9):
         with pytest.raises(ValueError, match="not a unit quaternion"):
