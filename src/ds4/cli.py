@@ -162,9 +162,7 @@ def _cmd_orbit(args) -> int:
         return 2
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            # no name holds the points, so they are freed before the join below
-            lines = _orbit_lines(orbits.sample_orbit(args.kappa, args.samples, p_max, seed),
-                                 args.kappa, args.matrix)
+            lines = _orbit_lines(orbits.sample_orbit(args.kappa, args.samples, p_max, seed), args.matrix)
     except (ArithmeticError, ValueError) as err:
         print(f"ds4 orbit: kappa or the momentum window is too large for float64: {err}",
               file=sys.stderr)
@@ -173,21 +171,19 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
-def _orbit_lines(points, kappa: float, matrix: bool) -> list[str]:
-    """One strict JSON record per orbit point.  Orbit matrices, coordinates and
-    residuals are computed as arrays, one pass per batch.CHUNK points, which
-    bounds the arrays and lists held at once."""
+def _orbit_lines(points: orbits.OrbitPoint, matrix: bool) -> list[str]:
+    """One strict JSON record per row of the sampled stack.  Orbit matrices,
+    coordinates and residuals are computed as arrays, one pass per batch.CHUNK
+    rows, which bounds the arrays and lists held at once."""
     from . import batch  # the array route; the other commands start without it
 
-    lines = []
-    for start in range(0, len(points), batch.CHUNK):
-        chunk = points[start:start + batch.CHUNK]
-        z = np.array([pt.z for pt in chunk])
-        p = np.array([pt.p for pt in chunk])
+    kappa, lines = points.kappa, []
+    for start in range(0, len(points.z), batch.CHUNK):
+        z, p = points.z[start:start + batch.CHUNK], points.p[start:start + batch.CHUNK]
         X = orbits.orbit_matrix(z, p, kappa)
         a, j, d0, d = algebra.to_coords(X)
         r1, r2, degenerate = orbits.conservation_residuals((a, j, d0, d), kappa)
-        matrices = X.reshape(-1, 4, 4).tolist() if matrix else [None] * len(chunk)
+        matrices = X.reshape(-1, 4, 4).tolist() if matrix else [None] * len(z)
         for zk, pk, ak, jk, d0k, dk, r1k, r2k, degk, mk in zip(
                 z.tolist(), p.tolist(), a.tolist(), j.tolist(), d0.tolist(), d.tolist(),
                 r1.tolist(), r2.tolist(), degenerate.tolist(), matrices):

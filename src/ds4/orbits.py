@@ -6,7 +6,8 @@ translations and boosts; a point is parameterized by a unit quaternion z and
 a momentum 3-vector p, with p0 = sqrt(kappa^2 + |p|^2).  In dual coordinates
 (a, j, d0, d) the orbit is cut out by j = (d x a)/d0 together with
 kappa^2 = d0^2 + d.d - a.a - j.j, which become the conservation laws of the
-elementary system once energies and positions are attached.
+elementary system once energies and positions are attached.  Each function
+from the sampled points to the residuals takes one point or a stack.
 """
 
 from __future__ import annotations
@@ -18,23 +19,24 @@ import numpy as np
 
 from .algebra import AlgebraElement, _blocks, from_coords, shape_checked, to_coords
 from .gamma import QMat2, _quaternion
-from .quaternion import Quaternion, UnitQuaternion, _gaussian, ensure_pure_unit, ensure_unit, random_unit
+from .quaternion import Quaternion, UnitQuaternion, ensure_pure_unit, ensure_unit
 
 
 class OrbitPoint(NamedTuple):
-    """Orbit coordinates (z, p) at the given kappa."""
+    """Orbit coordinates (z, p) at the given kappa, for one point (a Quaternion
+    or 4 components, and 3 components) or a stack ((..., 4) and (..., 3))."""
 
-    z: Quaternion
+    z: Quaternion | np.ndarray
     p: np.ndarray
     kappa: float
 
     @property
-    def p0(self) -> float:
-        return math.hypot(self.kappa, float(np.linalg.norm(self.p)))
+    def p0(self) -> float | np.ndarray:  # as in orbit_matrix
+        return np.hypot(self.kappa, np.sqrt(_dot(self.p, self.p)))
 
-    def to_json(self) -> dict:
-        return {"z": self.z.to_json(), "p": [float(c) for c in self.p],
-                "kappa": self.kappa}
+    def to_json(self) -> dict:  # one point
+        return {"z": Quaternion(*map(float, self.z)).to_json(),
+                "p": [float(c) for c in self.p], "kappa": self.kappa}
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrbitPoint":
@@ -141,9 +143,10 @@ def orbit_matrix(z, p, kappa: float):
     return X if z.ndim > 1 else _element(X)
 
 
-def to_coadjoint_coords(X: AlgebraElement) -> CoadjointCoords:
-    """Read (a, j, d0, d) off the blocks of a shape-valid element."""
-    return CoadjointCoords(*to_coords(AlgebraElement.from_qmat(X.m)))
+def to_coadjoint_coords(X) -> CoadjointCoords:
+    """(a, j, d0, d) read off one shape-valid AlgebraElement or (..., 2, 2, 4)
+    blocks, or ValueError off the algebra shape (shape_checked)."""
+    return CoadjointCoords(*to_coords(shape_checked(X)))
 
 
 def cross(u, v) -> np.ndarray:
@@ -213,8 +216,8 @@ def energy_quartic_residual(st: PhysicalState) -> float:
     return E2 * E2 + E2 * B + C
 
 
-def positive_energy(m: float, c: float, p, q, R: float) -> float:
-    """Positive root of the quartic constraint, as a quadratic in E^2.
+def positive_energy(m: float, c: float, p, q, R):
+    """Positive root of the quartic constraint, as a quadratic in E^2, at each R.
 
     The larger E^2 root is the branch that survives the flat limit; the
     sign of E itself is fixed positive by convention.
@@ -222,18 +225,18 @@ def positive_energy(m: float, c: float, p, q, R: float) -> float:
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     B, C = _quartic(m, c, R, p, q, cross(q, p))
     disc = B * B - 4.0 * C
-    if disc < 0:
+    if (disc < 0).any():
         raise ArithmeticError("quartic has no real root; invalid inputs")
-    E2 = 0.5 * (-B + math.sqrt(disc))
-    if E2 <= 0:
+    E2 = 0.5 * (-B + np.sqrt(disc))
+    if (E2 <= 0).any():
         raise ArithmeticError("no positive energy root; invalid inputs")
-    return math.sqrt(E2)
+    return np.sqrt(E2)
 
 
 def contraction_sweep(m: float, c: float, p, q, R_list) -> np.ndarray:
     """Mass-shell defect along an increasing radius grid.
 
-    For each R the positive energy root is solved and the defect
+    The positive energy root is solved at every R at once and the defect
     E^2 - c^2 p.p - m^2 c^4 recorded; rows are (R, E, defect).  The
     defect falls off as 1/R^2, slope -2 on a log-log plot.
     """
@@ -243,12 +246,8 @@ def contraction_sweep(m: float, c: float, p, q, R_list) -> np.ndarray:
     if not (np.all(R_list > 0) and np.all(np.diff(R_list) > 0)):
         raise ValueError("radii must be positive and increasing")
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    shell = c**2 * (p @ p) + (m * c**2) ** 2
-    rows = np.empty((len(R_list), 3))
-    for i, R in enumerate(R_list):
-        E = positive_energy(m, c, p, q, R)
-        rows[i] = (R, E, E * E - shell)
-    return rows
+    E = positive_energy(m, c, p, q, R_list)
+    return np.stack((R_list, E, E * E - (c**2 * (p @ p) + (m * c**2) ** 2)), -1)
 
 
 def defect_slope(table: np.ndarray) -> float:
@@ -261,28 +260,27 @@ def defect_slope(table: np.ndarray) -> float:
     return float(coeffs[0])
 
 
-def sample_orbit(kappa: float, n: int, p_max: float, seed: int) -> list[OrbitPoint]:
-    """n independent draws from the truncated invariant measure.
+def sample_orbit(kappa: float, n: int, p_max: float, seed: int) -> OrbitPoint:
+    """n independent draws from the truncated invariant measure, as one
+    OrbitPoint with (n, 4) z and (n, 3) p.
 
     z is uniform on the 3-sphere and p uniform in the ball |p| <= p_max
     (the measure factorizes as dmu(z) d^3p; the full momentum measure is
-    infinite, so a finite study needs the documented window).  Output is
+    infinite, so a finite study needs the documented window).  The n z are
+    drawn first, then the n directions of p, then their n radii.  Output is
     deterministic under the seed.
     """
+    from . import batch  # the array route; `import ds4` starts without it
+
     if n <= 0:
         raise ValueError("need a positive sample count")
     kappa = _checked_kappa(kappa, p_max)
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        z = random_unit(rng)
-        direction, nd = _gaussian(rng, 3)
-        radius = p_max * rng.uniform() ** (1.0 / 3.0)
-        p = direction * (radius / nd)
-        if kappa == 0.0 and p.dot(p) == 0.0:
-            p = np.array([0.0, 0.0, p_max])  # measure-zero guard for massless draws
-        out.append(OrbitPoint(z, p, kappa))
-    return out
+    z = batch.random_unit(rng, n)
+    p = batch.random_unit(rng, n, 3) * (p_max * rng.uniform(size=n) ** (1.0 / 3.0))[:, None]
+    if kappa == 0.0:
+        p[_dot(p, p) == 0.0] = (0.0, 0.0, p_max)  # measure-zero guard for massless draws
+    return OrbitPoint(z, p, kappa)
 
 
 def massless_orbit_point(z: UnitQuaternion, p) -> OrbitPoint:

@@ -9,7 +9,7 @@ every product after it slower; components are converted exactly where they
 enter (from_json, ensure_unit, ensure_pure_unit, random_unit,
 random_unit_vector, gamma.slash, group.act_vector, group.decompose) and where
 they leave the array bodies that also serve single elements (algebra.to_coords,
-orbits.orbit_matrix, orbits.adjoint, orbits.conservation_residuals).
+orbits.orbit_matrix, adjoint, conservation_residuals and OrbitPoint.to_json).
 The 2x2 complex embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k)
 is kept for the independent cross-checks in the test suite; no route of the
 package computes in it.

@@ -5,7 +5,7 @@ residual is divided by the budget that condition is allowed, and the suite
 reports the worst such fraction.  A report passes when the fraction is at
 most the suite tolerance (1.0 by default), so `--tol 2` uniformly doubles
 every budget.  Conditions that must hold exactly contribute 0 when they do
-and infinity when they do not.
+and infinity when they do not, and a NaN fraction counts as infinity.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ def _exact(defect: float) -> float:
     return 0.0 if defect == 0.0 else _INF
 
 
+def _worst(*fractions: float) -> float:
+    """The largest fraction, NaN as inf (Python's max drops a NaN not first)."""
+    return max(f if f == f else _INF for f in fractions)
+
+
 def _mixed_member(rng, i: int):
     return random_member(rng, "exp" if i % 2 else "factors")
 
@@ -76,10 +81,10 @@ def suite_clifford(trials: int, rng) -> tuple[int, float]:
     for a in range(5):
         for b in range(5):
             want = QMat2.identity().scale(2.0 * ETA[a] if a == b else 0.0)
-            worst = max(worst, _exact((anticommutator(a, b) - want).max_norm()))
+            worst = _worst(worst, _exact((anticommutator(a, b) - want).max_norm()))
             count += 1
     for a in range(5):
-        worst = max(worst, 0.0 if dagger_identity_check(a) else _INF)
+        worst = _worst(worst, 0.0 if dagger_identity_check(a) else _INF)
         count += 1
     return count, worst
 
@@ -92,11 +97,10 @@ def suite_membership(trials: int, rng) -> tuple[int, float]:
         g1 = _mixed_member(rng, i)
         g2 = _mixed_member(rng, i + 1)
         rep = is_member(compose(g1, g2))
-        worst = max(worst, rep.det_defect / 1e-10,
-                    rep.pseudo_unitarity_defect / 1e-10)
+        worst = _worst(worst, rep.det_defect / 1e-10, rep.pseudo_unitarity_defect / 1e-10)
         x = random_ds_point(rng, R=1.0)
         y = group.act_vector(g1, x.x)
-        worst = max(worst, abs(minkowski_square(y) + 1.0) / 1e-8)
+        worst = _worst(worst, abs(minkowski_square(y) + 1.0) / 1e-8)
     return 2 * trials, worst
 
 
@@ -118,15 +122,15 @@ def suite_decomposition(trials: int, rng) -> tuple[int, float]:
         cases.append(_mixed_member(rng, i))
     for g in cases:
         f = decompose(g)
-        res = (reconstruct(f).m - g.m).max_norm()
-        worst = max(worst, res / 1e-9)
+        res = np.abs(np.subtract(reconstruct(f).m, g.m)).max()  # NaN propagates
+        worst = _worst(worst, res / 1e-9)
     return len(cases), worst
 
 
 def suite_brackets(trials: int, rng) -> tuple[int, float]:
     """Structure-constant table in both representations."""
     worst = algebra.bracket_table_residual_quaternionic() / 1e-12
-    worst = max(worst, _exact(float(algebra.bracket_table_defect_so14())))
+    worst = _worst(worst, _exact(float(algebra.bracket_table_defect_so14())))
     return 90, worst
 
 
@@ -135,12 +139,12 @@ def suite_homomorphism(trials: int, rng) -> tuple[int, float]:
     worst = 0.0
     count = 0
     for lab in algebra.GENERATOR_LABELS:
-        worst = max(worst, algebra.homomorphism_residual(lab) / 1e-12)
+        worst = _worst(worst, algebra.homomorphism_residual(lab) / 1e-12)
         count += 1
     labels = algebra.GENERATOR_LABELS
     for i, l1 in enumerate(labels):
         for l2 in labels[i + 1:]:
-            worst = max(worst, algebra.intertwining_residual(l1, l2) / 1e-12)
+            worst = _worst(worst, algebra.intertwining_residual(l1, l2) / 1e-12)
             count += 1
     return count, worst
 
@@ -154,7 +158,7 @@ def _conservation_ratio(X, kappa: float) -> float:
     r1 = d0[:, None] * j - orbits.cross(d, a)
     r2 = orbits.casimir_defect(a, j, d0, d, kappa)
     budget = 1e-9 * max(1.0, kappa**2)
-    return max(float(np.abs(r1).max()), float(np.abs(r2).max())) / budget
+    return _worst(float(np.abs(r1).max()), float(np.abs(r2).max())) / budget
 
 
 def suite_orbits(trials: int, rng) -> tuple[int, float]:
@@ -182,14 +186,14 @@ def suite_orbits(trials: int, rng) -> tuple[int, float]:
     for kappa in (0.1, 1.0, 10.0):
         x = np.reshape(orbits.base_element(kappa).m, (2, 2, 4))
         for y in transported(trials, lambda n: x):
-            worst = max(worst, _conservation_ratio(y, kappa))
+            worst = _worst(worst, _conservation_ratio(y, kappa))
     for y in transported(trials, massless):
-        worst = max(worst, _conservation_ratio(y, 0.0))
+        worst = _worst(worst, _conservation_ratio(y, 0.0))
     quartic_trials = max(1, trials // 5)
     x = np.reshape(orbits.base_element(1.0).m, (2, 2, 4))
     for y in transported(quartic_trials, lambda n: x):
-        st = orbits.physicalize(orbits.CoadjointCoords(*algebra.to_coords(y)), 1.0, 1.0, 10.0)
-        worst = max(worst, float(np.abs(orbits.energy_quartic_residual(st)).max()) / 1e-8)
+        st = orbits.physicalize(orbits.to_coadjoint_coords(y), 1.0, 1.0, 10.0)
+        worst = _worst(worst, float(np.abs(orbits.energy_quartic_residual(st)).max()) / 1e-8)
     return 4 * trials + quartic_trials, worst
 
 
@@ -200,7 +204,7 @@ def suite_contraction(trials: int, rng) -> tuple[int, float]:
     table = orbits.contraction_sweep(1.0, 1.0, (1, 0, 0), (0, 1, 0), grid)
     slope = orbits.defect_slope(table)
     worst = abs(slope + 2.0) / 0.05
-    worst = max(worst, abs(table[-1, 2]) / 1e-11)
+    worst = _worst(worst, abs(table[-1, 2]) / 1e-11)
     return len(grid), worst
 
 
@@ -213,10 +217,10 @@ def suite_mirror(trials: int, rng) -> tuple[int, float]:
         x = random_ds_point(rng, R=1.0).x
         y = group.act_vector(g0, x)
         mirrored = np.concatenate(([x[0]], -x[1:]))
-        worst = max(worst, _exact(float(np.abs(y - mirrored).max())))
-        worst = max(worst, _exact(float(np.abs(group.act_vector(g0, y) - x).max())))
+        worst = _worst(worst, _exact(float(np.abs(y - mirrored).max())))
+        worst = _worst(worst, _exact(float(np.abs(group.act_vector(g0, y) - x).max())))
     signs = mirror_generator_signs()
-    worst = max(worst, 0.0 if signs == MIRROR_SIGNS else _INF)
+    worst = _worst(worst, 0.0 if signs == MIRROR_SIGNS else _INF)
     return 2 * trials + len(signs), worst
 
 

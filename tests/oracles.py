@@ -173,10 +173,13 @@ def lorentz_factor_via_products(m: QMat2, w: Quaternion, psi: float) -> QMat2:
 
 
 def orbit_lines_pointwise(kappa: float, n: int, p_max: float, seed: int, matrix: bool) -> str:
-    """`ds4 orbit` stdout built record by record through the single-point
-    forms of orbit_matrix, to_coadjoint_coords and conservation_residuals."""
+    """`ds4 orbit` stdout built record by record, one row of the sampled stack
+    at a time, through the single-point forms of orbit_matrix,
+    to_coadjoint_coords and conservation_residuals."""
     lines = []
-    for pt in orbits.sample_orbit(kappa, n, p_max, seed):
+    pts = orbits.sample_orbit(kappa, n, p_max, seed)
+    for z, p in zip(pts.z, pts.p):
+        pt = orbits.OrbitPoint(z, p, pts.kappa)
         X = orbits.orbit_matrix(*pt)
         coords = orbits.to_coadjoint_coords(X)
         res = orbits.conservation_residuals(coords, pt.kappa)

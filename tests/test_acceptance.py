@@ -171,7 +171,7 @@ def test_criterion_7_energy_quartic():
         kappa = m * c_light**2
         # 1000 members, factor-built at even trials and exp-built at odd ones
         X = orbits.adjoint(batch.members(rng, 1_000), orbits.base_element(kappa))
-        st = orbits.physicalize(orbits.CoadjointCoords(*algebra.to_coords(X)), m, c_light, R)
+        st = orbits.physicalize(orbits.to_coadjoint_coords(X), m, c_light, R)
         frac = float(np.abs(orbits.energy_quartic_residual(st)).max()) / (1e-8 * kappa**4)
         worst_frac = max(worst_frac, frac)
     elapsed = time.perf_counter() - t0

@@ -360,8 +360,7 @@ def test_exp_of_generators_with_equal_roots():
 @pytest.mark.parametrize("kappa, p_max", [(0.0, 2.0), (0.1, 0.5), (1.0, 5.0), (10.0, 50.0)])
 def test_exp_of_orbit_elements(kappa, p_max):
     # X^2 = kappa^2 I: equal roots, or X^2 = 0 on the massless orbit
-    _assert_expm_within_tolerance([_blocks(orbits.orbit_matrix(*pt))
-                                   for pt in orbits.sample_orbit(kappa, 64, p_max, 61)])
+    _assert_expm_within_tolerance(orbits.orbit_matrix(*orbits.sample_orbit(kappa, 64, p_max, 61)))
 
 
 def test_exp_of_commuting_boost_and_rotation():

@@ -186,7 +186,7 @@ def test_orbit_matrix_matches_the_rotation_oracle():
 def test_energy_quartic_reads_a_stack_point_by_point():
     gs, G = _members(408, 32)
     Y = orbits.adjoint(G, _arr(orbits.base_element(1.0)))
-    st_batch = orbits.physicalize(orbits.CoadjointCoords(*algebra.to_coords(Y)), 1.0, 1.0, 10.0)
+    st_batch = orbits.physicalize(orbits.to_coadjoint_coords(Y), 1.0, 1.0, 10.0)
     res = orbits.energy_quartic_residual(st_batch)
     for k, y in enumerate(Y):
         c = orbits.to_coadjoint_coords(algebra.AlgebraElement(_qmat(y)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ds4
-from ds4 import cli, group
+from ds4 import cli, group, orbits, suites
 from ds4.cli import main
 from ds4.gamma import gamma
 from ds4.group import (
@@ -134,6 +134,27 @@ def test_check_failing_tolerance_exits_one(capsys):
     code, out, _ = run_cli(capsys, "check", "contraction", "--tol", "1e-9")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_a_nan_residual_fails_its_suite(monkeypatch):
+    # Python's max drops a NaN that does not come first; the suites fold it as inf
+    nan = float("nan")
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "casimir_defect", lambda a, j, d0, d, kappa: np.full(np.shape(d0), nan))
+        report = run_suite("orbits", 300, 1)
+    assert report.max_residual == float("inf") and not report.passed
+    with monkeypatch.context() as m:
+        m.setattr(suites, "is_member", lambda g: group.MembershipReport(nan, nan, 1e-10, False))
+        report = run_suite("membership", 5, 1)
+    assert report.max_residual == float("inf") and not report.passed
+    with monkeypatch.context() as m:
+        # one component of one block: QMat2.max_norm would drop it as well
+        def reconstruct_with_a_nan(f):
+            blocks = reconstruct(f).m
+            return GroupElement(blocks._replace(d=blocks.d._replace(z=nan)))
+        m.setattr(suites, "reconstruct", reconstruct_with_a_nan)
+        report = run_suite("decomposition", 5, 1)
+    assert report.max_residual == float("inf") and not report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +323,8 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert not any("matrix" in json.loads(line) for line in out.strip().split("\n"))
 
 
-# At n = 100 the first three seeds each hold a record whose d0 ** 2, taken
-# by pow() on a float, differs in the last bit from d0 * d0.
-@pytest.mark.parametrize("kappa,pmax,seed", [(0.0, 2.0, 0), (0.1, None, 14), (1.0, None, 12),
-                                             (10.0, None, 7)])
-@pytest.mark.parametrize("n", [1, 100, 257])  # 257 spans two chunks of batch.CHUNK
-@pytest.mark.parametrize("matrix", [False, True])
-def test_orbit_records_equal_the_pointwise_route(capsys, kappa, pmax, seed, n, matrix):
+def _orbit_records_equal_the_pointwise_route(capsys, kappa, pmax, seed, n, matrix) -> list[dict]:
+    """`ds4 orbit`'s records, once its stdout equals the point-by-point oracle's."""
     argv = ["orbit", "--kappa", repr(kappa), "-n", str(n), "--seed", str(seed)]
     argv += ["--pmax", repr(pmax)] if pmax is not None else []
     argv += ["--matrix"] if matrix else []
@@ -316,6 +332,25 @@ def test_orbit_records_equal_the_pointwise_route(capsys, kappa, pmax, seed, n, m
     assert code == 0
     want = orbit_lines_pointwise(kappa, n, 5.0 * kappa if pmax is None else pmax, seed, matrix)
     assert out.split("\n") == want.split("\n")
+    return [json.loads(line) for line in out.split("\n") if line]
+
+
+@pytest.mark.parametrize("kappa,pmax,seed", [(0.0, 2.0, 0), (0.1, None, 14), (1.0, None, 12),
+                                             (10.0, None, 7)])
+@pytest.mark.parametrize("n", [1, 100, 257])  # 257 spans two chunks of batch.CHUNK
+@pytest.mark.parametrize("matrix", [False, True])
+def test_orbit_records_equal_the_pointwise_route(capsys, kappa, pmax, seed, n, matrix):
+    _orbit_records_equal_the_pointwise_route(capsys, kappa, pmax, seed, n, matrix)
+
+
+# At n = 100 each of these seeds holds a record whose d0 ** 2, taken by pow()
+# on a float, differs in the last bit from d0 * d0: a single-point route that
+# squared a float d0 by pow() would part from the stack's product there.
+@pytest.mark.parametrize("kappa,pmax,seed", [(0.0, 2.0, 42), (0.1, None, 0), (1.0, None, 8),
+                                             (10.0, None, 17)])
+def test_orbit_records_where_pow_and_product_differ(capsys, kappa, pmax, seed):
+    records = _orbit_records_equal_the_pointwise_route(capsys, kappa, pmax, seed, 100, False)
+    assert any(r["coords"]["d0"] ** 2 != r["coords"]["d0"] * r["coords"]["d0"] for r in records)
 
 
 def test_orbit_massless(capsys):

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from ds4 import algebra, suites
+from ds4 import algebra, batch, cli, suites
 from ds4.gamma import QMat2
 from ds4.group import (
     compose,
@@ -43,6 +44,8 @@ from ds4.quaternion import (
     random_unit_vector,
 )
 from oracles import expm_tolerance
+
+EPS = np.finfo(float).eps
 
 
 def _mixed(rng, i):
@@ -85,7 +88,7 @@ def test_adjoint_preserves_the_orbit_invariant():
     rng = np.random.default_rng(64)
     for i in range(100):
         pts = sample_orbit(1.0, 1, 3.0, seed=1000 + i)
-        X = orbit_matrix(*pts[0])
+        X = orbit_matrix(pts.z[0], pts.p[0], pts.kappa)
         g = _mixed(rng, i)
         a, j, d0, d = algebra.to_coords(adjoint(g, X))
         invariant = d0**2 + d @ d - a @ a - j @ j
@@ -199,6 +202,20 @@ def test_coords_match_algebra_chart():
         assert c.d0 == d0 and np.array_equal(c.d, d)
 
 
+def test_coords_take_one_element_or_a_stack():
+    rng = np.random.default_rng(73)
+    Xs = np.array([np.reshape(algebra.random_element(rng).m, (2, 2, 4)) for _ in range(8)])
+    c = to_coadjoint_coords(Xs)
+    assert c.a.shape == c.j.shape == c.d.shape == (8, 3) and c.d0.shape == (8,)
+    for k, X in enumerate(Xs):
+        ck = to_coadjoint_coords(X)
+        assert all(np.array_equal(u[k], v) for u, v in zip(c, ck)) and isinstance(ck.d0, float)
+    Xs[3, 0, 0, 0] = 1e-3  # a scalar part on the diagonal: off the algebra shape
+    for bad in (Xs, Xs[3]):
+        with pytest.raises(ValueError):
+            to_coadjoint_coords(bad)
+
+
 def test_conservation_on_constructed_samples():
     # z a rotation about e3 and momentum along e3 keeps everything explicit
     theta = 0.8
@@ -227,8 +244,8 @@ def test_conservation_fuzz_transported():
 
 
 def test_conservation_detects_off_orbit():
-    pt = sample_orbit(1.0, 1, 3.0, seed=9)[0]
-    c = to_coadjoint_coords(orbit_matrix(*pt))
+    pts = sample_orbit(1.0, 1, 3.0, seed=9)
+    c = to_coadjoint_coords(orbit_matrix(pts.z[0], pts.p[0], pts.kappa))
     tampered = CoadjointCoords(c.a * 1.1, c.j, c.d0, c.d)
     r = conservation_residuals(tampered, 1.0)
     assert abs(r.r2) > 1e-3
@@ -371,6 +388,22 @@ def test_sweep_slope():
     assert abs(defect_slope(table) + 2.0) < 0.05
 
 
+def test_sweep_solves_every_radius_as_one():
+    # Reference: the root solved radius by radius.  A scalar R's terms are
+    # squared by pow(), the grid's by exact products, so the two may part in
+    # the last bit.  With B < 0 (here for R >= 10) E^2 has no cancellation:
+    # E agrees within a few ulps, and the defect E^2 - shell within a few of E^2.
+    rng = np.random.default_rng(75)
+    p, q = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
+    grid = np.logspace(1.0, 7.0, 30)
+    table = contraction_sweep(2.0, 3.0, p, q, grid)
+    shell = 9.0 * (p @ p) + 324.0
+    for (R, E, defect), R_k in zip(table, grid):
+        E_k = positive_energy(2.0, 3.0, p, q, R_k)
+        assert R == R_k and abs(E - E_k) <= 4 * EPS * E_k
+        assert abs(defect - (E_k * E_k - shell)) <= 16 * EPS * E_k * E_k
+
+
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         contraction_sweep(1.0, 1.0, (1, 0, 0), (0, 1, 0), [10.0, 5.0])
@@ -384,24 +417,64 @@ def test_sweep_grid_validation():
 def test_sample_orbit_deterministic():
     a = sample_orbit(1.0, 50, 5.0, seed=123)
     b = sample_orbit(1.0, 50, 5.0, seed=123)
-    assert len(a) == len(b) == 50
-    assert all(x.z == y.z and np.array_equal(x.p, y.p) and x.kappa == y.kappa
-               for x, y in zip(a, b))
+    assert a.z.shape == (50, 4) and a.p.shape == (50, 3)
+    assert np.array_equal(a.z, b.z) and np.array_equal(a.p, b.p) and a.kappa == b.kappa
+    assert np.array_equal(a.p0, [OrbitPoint(z, p, 1.0).p0 for z, p in zip(a.z, a.p)])
+
+
+def _hex(values) -> list[str]:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def test_seeded_draws_are_pinned():
+    # Every seeded output rests on these draws, to the last bit.  Seeds 1 and
+    # 3 are ones where a norm taken by math.hypot rounds differently.
+    assert _hex(random_unit(np.random.default_rng(1))) == [
+        "0x1.b6c5b32abc9dbp-3", "0x1.04caea6503569p-1", "0x1.a38a6985deab2p-3", "-0x1.9da3bde3993ccp-1"]
+    assert _hex(random_unit_vector(np.random.default_rng(3))) == [
+        "0x0.0p+0", "0x1.3ceb792c58cabp-1", "-0x1.8cd9de6608a43p-1", "0x1.03b1c360f5587p-3"]
+    rng = np.random.default_rng(5)
+    assert _hex(batch.random_unit(rng, 1)) == [
+        "-0x1.f9d55607441a4p-2", "-0x1.a1aea3a7ce3f4p-1", "-0x1.39514a27c2ebcp-3", "0x1.093428eb2ba17p-2"]
+    assert _hex(batch.random_unit(rng, 1, 3)) == [
+        "0x1.caaf9beee837dp-1", "0x1.625b72d69619ap-4", "-0x1.be450b37fca52p-2"]
+    pts = sample_orbit(1.0, 2, 5.0, seed=7)
+    assert _hex(pts.z[1]) == [
+        "-0x1.0d42421e939efp-2", "-0x1.25a12c1a2d5a8p-1", "0x1.1cf0746671ce4p-5", "0x1.8cd7828020c61p-1"]
+    assert _hex(pts.p[1]) == ["0x1.764684f1142efp+0", "0x1.ba3382d605cb5p-2", "-0x1.e7e6c3ea17ccdp+1"]
+
+
+class _ZeroUniform(np.random.Generator):
+    """A generator whose uniform draws are all 0, so every sampled |p| is 0."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.zeros(size)
+
+
+def test_sample_orbit_massless_guard():
+    # np.random.default_rng hands a Generator back unchanged
+    pts = sample_orbit(0.0, 3, 2.0, _ZeroUniform(np.random.PCG64(74)))
+    assert np.array_equal(pts.p, np.tile([0.0, 0.0, 2.0], (3, 1)))
+    for line in cli._orbit_lines(pts, False):
+        rec = json.loads(line)
+        assert rec["p"] == [0.0, 0.0, 2.0] and rec["kappa"] == 0.0
+        assert max(np.abs(rec["residuals"]["r1"]).max(), abs(rec["residuals"]["r2"])) <= 1e-9
+    # the guard is for the massless family only: a massive point may rest
+    assert not sample_orbit(1.0, 3, 2.0, _ZeroUniform(np.random.PCG64(74))).p.any()
 
 
 def test_sample_orbit_measure_symmetry():
     n = 1000
     pts = sample_orbit(1.0, n, 5.0, seed=7)
-    zs = np.array([[pt.z.s, pt.z.x, pt.z.y, pt.z.z] for pt in pts])
-    assert np.abs(zs.mean(axis=0)).max() < 4.0 / math.sqrt(n)
-    radii = np.array([np.linalg.norm(pt.p) for pt in pts])
-    assert radii.max() <= 5.0
+    assert np.abs(pts.z.mean(axis=0)).max() < 4.0 / math.sqrt(n)
+    assert np.linalg.norm(pts.p, axis=-1).max() <= 5.0
 
 
 def test_sample_orbit_points_satisfy_conservation():
     for kappa in (0.5, 1.0):
-        for pt in sample_orbit(kappa, 200, 5.0 * kappa, seed=11):
-            c = to_coadjoint_coords(orbit_matrix(*pt))
+        pts = sample_orbit(kappa, 200, 5.0 * kappa, seed=11)
+        for z, p in zip(pts.z, pts.p):
+            c = to_coadjoint_coords(orbit_matrix(z, p, kappa))
             r = conservation_residuals(c, kappa)
             assert max(np.abs(r.r1).max(), abs(r.r2)) < 1e-9
 
@@ -414,8 +487,9 @@ def test_sample_orbit_matrices_square_to_kappa_squared(kappa, p_max):
     # certifies at 1e-10, so the uncertified core is compared there.
     one = QMat2.identity()
     sh = math.sinh(kappa) / kappa if kappa else 1.0
-    for pt in sample_orbit(kappa, 200, p_max, seed=13):
-        X = orbit_matrix(*pt)
+    pts = sample_orbit(kappa, 200, p_max, seed=13)
+    for z, p in zip(pts.z, pts.p):
+        X = orbit_matrix(z, p, kappa)
         assert (X.m @ X.m - one.scale(kappa**2)).max_norm() <= 1e-13 * max(1.0, kappa**2)
         want = one.scale(math.cosh(kappa)) + X.m.scale(sh)
         got = algebra._expm(X.m) if kappa > 1.0 else algebra.exp(X).m
@@ -457,6 +531,7 @@ def test_massless_point_properties():
 
 
 def test_orbit_point_json_roundtrip():
-    pt = sample_orbit(2.0, 1, 3.0, seed=5)[0]
+    pts = sample_orbit(2.0, 1, 3.0, seed=5)
+    pt = OrbitPoint(pts.z[0], pts.p[0], pts.kappa)
     back = OrbitPoint.from_json(pt.to_json())
-    assert back.z == pt.z and np.array_equal(back.p, pt.p) and back.kappa == pt.kappa
+    assert np.array_equal(back.z, pt.z) and np.array_equal(back.p, pt.p) and back.kappa == pt.kappa
