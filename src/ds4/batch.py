@@ -4,10 +4,11 @@ the records of `ds4 orbit`.
 A quaternion is a (..., 4) float64 array (s, x, y, z) and a 2x2
 quaternionic matrix a (..., 2, 2, 4) array of blocks [[a, b], [c, d]].
 Matrix products run on the real 8x8 left-multiplication matrices of the
-blocks (left_matrices), so a call costs a few numpy calls whatever the
-number of elements; quaternion products are written out component by
-component, with the operations of Quaternion.__mul__ in their order, so
-they are bitwise the scalar ones.  reconstruct is group.reconstruct's
+blocks (left_matrices), which one product by a constant table writes in
+their final layout, so a call costs a few numpy calls whatever the number
+of elements and copies no matrix; quaternion products are written out
+component by component, with the operations of Quaternion.__mul__ in their
+order, so they are bitwise the scalar ones.  reconstruct is group.reconstruct's
 closed form, six quaternion products and no matrix product.  The
 exponential is algebra.exp's closed form, with its two products by matmul;
 its coefficients take the branch most elements fall in over the arrays and
@@ -32,13 +33,16 @@ from .group import MEMBER_TOL, MembershipReport, NonMemberError
 from .quaternion import UNIT_TOL, Quaternion
 
 #: Trials per array in a suite run; bounds the peak memory.
-CHUNK = 256
+CHUNK = 512
 
 _I4 = np.eye(4)
 _G0 = np.diag([1.0, -1.0])[..., None] * _I4[0]
 _ID = np.eye(2)[..., None] * _I4[0]
 #: _T[i] is the 4x4 matrix of left multiplication by the i-th basis unit.
 _T = np.array([[Quaternion(*e) * Quaternion(*f) for f in _I4] for e in _I4]).swapaxes(1, 2)
+#: delta_jk _T[p, r, q] at (4j + p, 8r + 4k + q): a block row (m_i0, m_i1) as 8
+#: floats times _LEFT is rows 4i..4i+3 of its 8x8 left-multiplication matrix.
+_LEFT = np.einsum("jk,prq->jprkq", np.eye(2), _T).reshape(8, 32)
 
 
 def blocks(a, b, c, d) -> np.ndarray:
@@ -58,9 +62,9 @@ def mul(p, q) -> np.ndarray:
 
 def left_matrices(m) -> np.ndarray:
     """(..., 8, 8) real matrices of n -> m n on the stacked columns of n, for
-    (..., 2, 2, 4) blocks m: block (i, j) is the 4x4 matrix of q -> m_ij q."""
-    left = (m @ _T.reshape(4, 16)).reshape(m.shape[:-1] + (4, 4))
-    return left.swapaxes(-3, -2).reshape(m.shape[:-3] + (8, 8))
+    (..., 2, 2, 4) blocks m: block (i, j) is the 4x4 matrix of q -> m_ij q.
+    One product by _LEFT writes them in this layout, so the reshape is a view."""
+    return (m.reshape(m.shape[:-3] + (2, 8)) @ _LEFT).reshape(m.shape[:-3] + (8, 8))
 
 
 def matmul(m, n) -> np.ndarray:
@@ -101,9 +105,9 @@ def random_unit(rng: np.random.Generator, n: int, dim: int = 4) -> np.ndarray:
     """n normalized Gaussian draws, each redrawn while its norm is <= 1e-12
     (quaternion.random_unit, and random_unit_vector's direction for dim 3)."""
     g = rng.normal(size=(n, dim))
-    while (small := np.linalg.norm(g, axis=-1) <= 1e-12).any():
+    while (small := (norms := np.linalg.norm(g, axis=-1)) <= 1e-12).any():
         g[small] = rng.normal(size=(int(small.sum()), dim))
-    return g / np.linalg.norm(g, axis=-1)[:, None]
+    return g / norms[:, None]
 
 
 def is_member(m) -> tuple[np.ndarray, np.ndarray]:

@@ -220,14 +220,13 @@ def positive_energy(m: float, c: float, p, q, R):
     """Positive root of the quartic constraint, as a quadratic in E^2, at each R.
 
     The larger E^2 root is the branch that survives the flat limit; the
-    sign of E itself is fixed positive by convention.
+    sign of E itself is fixed positive by convention.  The quadratic always
+    has real roots: C = -(m^2 c^6 / R^2) l.l is never positive, so B^2 - 4C
+    is at least B^2, or NaN, which gives a NaN energy.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     B, C = _quartic(m, c, R, p, q, cross(q, p))
-    disc = B * B - 4.0 * C
-    if (disc < 0).any():
-        raise ArithmeticError("quartic has no real root; invalid inputs")
-    E2 = 0.5 * (-B + np.sqrt(disc))
+    E2 = 0.5 * (-B + np.sqrt(B * B - 4.0 * C))
     if (E2 <= 0).any():
         raise ArithmeticError("no positive energy root; invalid inputs")
     return np.sqrt(E2)

@@ -166,9 +166,9 @@ def suite_orbits(trials: int, rng) -> tuple[int, float]:
     (budget 1e-9 max(1, kappa^2)) plus the quartic energy constraint on
     physicalized kappa = 1 points (budget 1e-8 in natural units).
 
-    Each family runs in chunks of up to batch.CHUNK trials held as arrays;
-    trial i of a family is transported by a factor-built member when i is
-    even and an exp-built one when odd."""
+    Each family runs in chunks of up to batch.CHUNK = 512 trials held as arrays,
+    which fix the draw order; trial i of a family is transported by a
+    factor-built member when i is even and an exp-built one when odd."""
     from . import batch
 
     def transported(count: int, seed_of):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ds4 import orbits
-from ds4.batch import left_matrices
+from ds4.batch import _T
 from ds4.gamma import ETA, QMat2, embed_blocks, gamma, slash
 from ds4.group import (
     MembershipReport,
@@ -193,6 +193,14 @@ def orbit_lines_pointwise(kappa: float, n: int, p_max: float, seed: int, matrix:
     return "\n".join(lines) + "\n"
 
 
+def left_matrices_via_swap(m) -> np.ndarray:
+    """The real 8x8 left-multiplication matrices of (..., 2, 2, 4) blocks m,
+    as 4x4 blocks (one product by the basis table) moved into place by a
+    swap of axes and a copy."""
+    left = (m @ _T.reshape(4, 16)).reshape(m.shape[:-1] + (4, 4))
+    return left.swapaxes(-3, -2).reshape(m.shape[:-3] + (8, 8))
+
+
 def expm_via_pade(A) -> np.ndarray:
     """scipy's scaling-and-squaring Pade exponential of each 4x4 matrix."""
     A = np.asarray(A)
@@ -218,7 +226,7 @@ def expm_via_taylor(m) -> np.ndarray:
     chunk sums and a Horner loop in B^4: 7 real 8x8 products).  The blocks
     are read off the first column of each 4x4 block, since L(q) e_0 = q."""
     s = squarings(m)
-    B = left_matrices(m) / (2.0 ** s)[..., None, None]
+    B = left_matrices_via_swap(m) / (2.0 ** s)[..., None, None]
     P = np.stack((np.broadcast_to(np.eye(8), B.shape), B, B @ B, B @ B @ B), -3)
     B4 = P[..., 2, :, :] @ P[..., 2, :, :]
     C = (_TAYLOR @ P.reshape(P.shape[:-3] + (4, 64))).reshape(P.shape[:-3] + (5, 8, 8))

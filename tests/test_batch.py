@@ -24,7 +24,7 @@ from ds4 import algebra, batch, gamma, group, orbits, quaternion, suites
 from ds4.gamma import QMat2
 from ds4.group import DecompositionFactors, NonMemberError
 from ds4.quaternion import Quaternion, random_unit, random_unit_vector
-from oracles import adjoint_via_embedding, orbit_coords_via_rotation
+from oracles import adjoint_via_embedding, left_matrices_via_swap, orbit_coords_via_rotation
 
 EPS = np.finfo(float).eps
 KAPPAS = (0.1, 1.0, 10.0)
@@ -63,6 +63,28 @@ def test_products_and_inverse_match_scalar():
     inv = batch.inverse(G)
     assert np.array_equal(inv, [_arr(group.inverse(g)) for g in gs])
     assert np.array_equal(batch.dagger(G), [_arr(g.m.dagger()) for g in gs])
+
+
+def _bitwise(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_left_matrices_equal_the_swap_route(monkeypatch):
+    # Each entry of a left-multiplication matrix is one block component times
+    # +-1 plus exact zeros, whichever product writes it, so the constant-table
+    # product and the swap-and-copy route agree bit for bit, signed zeros too.
+    rng = np.random.default_rng(412)
+    edge = rng.choice([0.0, -0.0, 1e150, -1e150, 3e-151, -2.5], size=(64, 2, 2, 4))
+    stacks = [rng.normal(size=(n, 2, 2, 4)) for n in (1, 255, batch.CHUNK, 1025)]
+    cases = [(s, rng.normal(size=s.shape)) for s in stacks]
+    cases += [(rng.normal(size=(2, 2, 4)),) * 2, (edge, edge[::-1])]
+    for m, n in cases:
+        got = batch.left_matrices(m)
+        assert got.shape == m.shape[:-3] + (8, 8) and _bitwise(got, left_matrices_via_swap(m))
+        product = batch.matmul(m, n)
+        with monkeypatch.context() as patched:
+            patched.setattr(batch, "left_matrices", left_matrices_via_swap)
+            assert _bitwise(product, batch.matmul(m, n))
 
 
 def test_membership_defects_match_scalar():
@@ -309,7 +331,32 @@ def test_unit_rejection_reads_the_same_on_both_routes():
         assert str(err.value) == str(scalar.value)
 
 
-@pytest.mark.parametrize("trials", [0, 1, 2, 255, 256, 257, 513])
+class _TinyFirstDraw(np.random.Generator):
+    """A generator whose first normal draw has a row of norm 1e-13; it stops
+    a redraw loop that does not end."""
+
+    draws = 0
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        self.draws += 1
+        assert self.draws <= 2, "the redraw loop did not end"
+        g = super().normal(loc, scale, size)
+        if self.draws == 1:
+            g[1] *= 1e-13 / np.linalg.norm(g[1])
+        return g
+
+
+@pytest.mark.parametrize("dim", [4, 3])
+def test_random_unit_redraws_a_tiny_draw(dim):
+    got = batch.random_unit(_TinyFirstDraw(np.random.PCG64(413)), 3, dim)
+    plain = np.random.Generator(np.random.PCG64(413))
+    g = plain.normal(size=(3, dim))
+    g[1] = plain.normal(size=(1, dim))
+    assert _bitwise(got, g / np.linalg.norm(g, axis=-1)[:, None])
+
+
+@pytest.mark.parametrize("trials", sorted({0, 1, 2, 255, 256, 257, 513, batch.CHUNK - 1, batch.CHUNK,
+                                             batch.CHUNK + 1}))
 def test_orbits_suite_trial_count(trials):
     report = suites.run_suite("orbits", trials=trials, seed=11)
     assert report.trials == 4 * trials + max(1, trials // 5)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ds4
-from ds4 import cli, group, orbits, suites
+from ds4 import batch, cli, group, orbits, suites
 from ds4.cli import main
 from ds4.gamma import gamma
 from ds4.group import (
@@ -337,7 +337,7 @@ def _orbit_records_equal_the_pointwise_route(capsys, kappa, pmax, seed, n, matri
 
 @pytest.mark.parametrize("kappa,pmax,seed", [(0.0, 2.0, 0), (0.1, None, 14), (1.0, None, 12),
                                              (10.0, None, 7)])
-@pytest.mark.parametrize("n", [1, 100, 257])  # 257 spans two chunks of batch.CHUNK
+@pytest.mark.parametrize("n", [1, 100, 257, batch.CHUNK + 1])  # the last spans two chunks
 @pytest.mark.parametrize("matrix", [False, True])
 def test_orbit_records_equal_the_pointwise_route(capsys, kappa, pmax, seed, n, matrix):
     _orbit_records_equal_the_pointwise_route(capsys, kappa, pmax, seed, n, matrix)
