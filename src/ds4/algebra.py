@@ -36,14 +36,6 @@ class AlgebraElement(NamedTuple):
         shape_checked(m)
         return cls(m)
 
-    def to_json(self) -> dict:
-        a, j, d0, d = to_coords(self)
-        return {"a": list(a), "j": list(j), "d0": d0, "d": list(d)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AlgebraElement":
-        return from_coords(obj["a"], obj["j"], obj["d0"], obj["d"])
-
 
 #: Algebra-shape tolerance, relative to max(1, the matrix's max-norm).
 SHAPE_TOL = 1e-12

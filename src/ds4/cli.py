@@ -4,7 +4,7 @@ Machine-readable output only: JSON (reports, factor data, orbit records) or
 CSV (contraction sweeps) on stdout, diagnostics on stderr.  Exit codes are a
 stable contract: 0 pass, 1 suite failure, 2 usage or parse error, 3
 certification failure.  Identical commands with identical seeds produce
-byte-identical stdout.
+byte-identical stdout.  This module alone reads and writes JSON, all strict.
 """
 
 from __future__ import annotations
@@ -65,6 +65,40 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite JSON token {token}")
 
 
+def _quaternion_json(q) -> dict:
+    """{"s", "v"} of four components (s, x, y, z)."""
+    s, x, y, z = q
+    return {"s": s, "v": [x, y, z]}
+
+
+def _field(obj, key: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"expected an object with a {key!r} member")
+    return obj[key]
+
+
+def _number(x) -> float:
+    """A JSON number as a finite float: strings, booleans and null are not numbers."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, got {json.dumps(x)[:40]}")
+    value = float(x)  # OverflowError for an integer beyond float64
+    if not np.isfinite(value):
+        raise ValueError("a block component is not finite in float64")
+    return value
+
+
+def _read_element(obj) -> GroupElement:
+    """The `ds4 decompose` input: {"blocks": {"a", "b", "c", "d"}}, each block {"s", "v"}."""
+    blocks = []
+    for k in "abcd":
+        q = _field(_field(obj, "blocks"), k)
+        v = _field(q, "v")
+        if not isinstance(v, list) or len(v) != 3:
+            raise ValueError("expected 'v' to be a list of three numbers")
+        blocks.append(Quaternion(*map(_number, [_field(q, "s"), *v])))
+    return GroupElement(QMat2(*blocks))
+
+
 def _triple(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
@@ -113,7 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     report = run_suite(args.suite, trials=args.trials, seed=seed, tol=args.tol)
-    print(json.dumps(report.to_json()))
+    worst = report.max_residual  # inf when the suite fails a condition that must hold exactly
+    print(_STRICT_JSON.encode({"suite": report.suite, "trials": report.trials,
+                               "max_residual": worst if np.isfinite(worst) else None,
+                               "pass": report.passed, "seed": report.seed, "tol": report.tol}))
     return 0 if report.passed else 1
 
 
@@ -124,24 +161,26 @@ def _cmd_decompose(args) -> int:
                 text = fh.read()
         else:
             text = sys.stdin.read()
-        g = GroupElement.from_json(json.loads(text, parse_constant=_reject_constant))
-        if not np.isfinite(g.m).all():
-            raise ValueError("a block component is not finite in float64")
-    except (OSError, ArithmeticError, ValueError, KeyError, TypeError) as err:
+        g = _read_element(json.loads(text, parse_constant=_reject_constant))
+    except (OSError, ArithmeticError, ValueError, RecursionError) as err:
         print(f"ds4 decompose: cannot parse input: {err}", file=sys.stderr)
         return 2
     try:
         factors = decompose(g, member_tol=_RECONSTRUCTION_TOL)
     except NonMemberError as err:
-        out, status = err.report.to_json(), 3
+        r = err.report
+        out, status = {"det_defect": r.det_defect, "pseudo_unitarity_defect": r.pseudo_unitarity_defect,
+                       "tol": r.tol, "pass": r.passed}, 3
     except (ArithmeticError, RuntimeError, ValueError) as err:
         # A member at the tolerance can still fail a check of the factorization.
         print(f"ds4 decompose: the input cannot be factored: {err}", file=sys.stderr)
         return 3
     else:
-        out = factors.to_json()
-        out["residual"] = (reconstruct(factors).m - g.m).max_norm()
-        status = 0 if out["residual"] <= _RECONSTRUCTION_TOL else 1
+        residual = (reconstruct(factors).m - g.m).max_norm()
+        out = {"w": _quaternion_json(factors.w), "psi": factors.psi,
+               "v": _quaternion_json(factors.v), "phi": factors.phi,
+               "u": _quaternion_json(factors.u), "residual": residual}
+        status = 0 if residual <= _RECONSTRUCTION_TOL else 1
     try:
         line = _STRICT_JSON.encode(out)
     except ValueError as err:
@@ -187,11 +226,11 @@ def _orbit_lines(points: orbits.OrbitPoint, matrix: bool) -> list[str]:
         for zk, pk, ak, jk, d0k, dk, r1k, r2k, degk, mk in zip(
                 z.tolist(), p.tolist(), a.tolist(), j.tolist(), d0.tolist(), d.tolist(),
                 r1.tolist(), r2.tolist(), degenerate.tolist(), matrices):
-            record = {"z": Quaternion._make(zk).to_json(), "p": pk, "kappa": kappa,
+            record = {"z": _quaternion_json(zk), "p": pk, "kappa": kappa,
                       "coords": {"a": ak, "j": jk, "d0": d0k, "d": dk},
                       "residuals": {"r1": r1k, "r2": r2k, "degenerate": degk}}
             if matrix:
-                record["matrix"] = QMat2(*map(Quaternion._make, mk)).to_json()
+                record["matrix"] = {"blocks": dict(zip("abcd", map(_quaternion_json, mk)))}
             lines.append(_STRICT_JSON.encode(record))
     return lines
 
@@ -212,9 +251,9 @@ def _cmd_contract(args) -> int:
     slope = orbits.defect_slope(table)
     if args.format == "json":
         for R, E, defect in table:
-            print(json.dumps({"R": float(R), "E": float(E),
-                              "mass_shell_defect": float(defect)}))
-        print(json.dumps({"slope": None if np.isnan(slope) else slope}))
+            print(_STRICT_JSON.encode({"R": float(R), "E": float(E),
+                                       "mass_shell_defect": float(defect)}))
+        print(_STRICT_JSON.encode({"slope": None if np.isnan(slope) else slope}))
     else:
         print("R,E,mass_shell_defect")
         for R, E, defect in table:

@@ -50,13 +50,6 @@ class DSPoint:
             raise ValueError(f"point is off the hyperboloid (defect {defect:.3e})")
         object.__setattr__(self, "x", x)
 
-    def to_json(self) -> dict:
-        return {"x": [float(c) for c in self.x], "R": float(self.R)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DSPoint":
-        return cls(np.asarray(obj["x"], dtype=float), float(obj["R"]))
-
 
 def origin(R: float) -> DSPoint:
     """The base point (0, 0, 0, 0, R)."""
@@ -108,15 +101,6 @@ class QMat2(NamedTuple):
     @classmethod
     def zero(cls) -> "QMat2":
         return _QZERO
-
-    def to_json(self) -> dict:
-        return {"blocks": {"a": self.a.to_json(), "b": self.b.to_json(),
-                           "c": self.c.to_json(), "d": self.d.to_json()}}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QMat2":
-        blocks = obj["blocks"]
-        return cls(*(Quaternion.from_json(blocks[k]) for k in ("a", "b", "c", "d")))
 
 
 #: Quaternion._make without its length check, for the 4-tuples of _mul_add.

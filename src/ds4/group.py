@@ -54,24 +54,9 @@ class MembershipReport(NamedTuple):
     tol: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "det_defect": self.det_defect,
-            "pseudo_unitarity_defect": self.pseudo_unitarity_defect,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
-
 
 class GroupElement(NamedTuple):
     m: QMat2
-
-    def to_json(self) -> dict:
-        return self.m.to_json()
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GroupElement":
-        return cls(QMat2.from_json(obj))
 
     @classmethod
     def identity(cls) -> "GroupElement":
@@ -194,16 +179,6 @@ class DecompositionFactors(NamedTuple):
     v: Quaternion
     phi: float
     u: Quaternion
-
-    def to_json(self) -> dict:
-        return {"w": self.w.to_json(), "psi": self.psi, "v": self.v.to_json(),
-                "phi": self.phi, "u": self.u.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DecompositionFactors":
-        return cls(Quaternion.from_json(obj["w"]), float(obj["psi"]),
-                   Quaternion.from_json(obj["v"]), float(obj["phi"]),
-                   Quaternion.from_json(obj["u"]))
 
 
 def reconstruct(f: DecompositionFactors) -> GroupElement:

@@ -34,15 +34,6 @@ class OrbitPoint(NamedTuple):
     def p0(self) -> float | np.ndarray:  # as in orbit_matrix
         return np.hypot(self.kappa, np.sqrt(_dot(self.p, self.p)))
 
-    def to_json(self) -> dict:  # one point
-        return {"z": Quaternion(*map(float, self.z)).to_json(),
-                "p": [float(c) for c in self.p], "kappa": self.kappa}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OrbitPoint":
-        return cls(Quaternion.from_json(obj["z"]),
-                   np.asarray(obj["p"], dtype=float), float(obj["kappa"]))
-
 
 class CoadjointCoords(NamedTuple):
     """Cartesian coordinates (a, j, d0, d) on the dual, for one point or over leading axes."""
@@ -51,10 +42,6 @@ class CoadjointCoords(NamedTuple):
     j: np.ndarray
     d0: float | np.ndarray
     d: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"a": [float(c) for c in self.a], "j": [float(c) for c in self.j],
-                "d0": self.d0, "d": [float(c) for c in self.d]}
 
 
 class ConservationResiduals(NamedTuple):
@@ -250,8 +237,7 @@ def contraction_sweep(m: float, c: float, p, q, R_list) -> np.ndarray:
 
 
 def defect_slope(table: np.ndarray) -> float:
-    """Least-squares slope of log|defect| against log R; NaN when fewer than two
-    defects are nonzero (`ds4 contract` prints null in JSON, `# slope=nan` in CSV)."""
+    """Least-squares slope of log|defect| against log R; NaN with under two nonzero defects."""
     mask = table[:, 2] != 0.0
     if mask.sum() < 2:
         return float("nan")

@@ -6,10 +6,11 @@ Multiplication is done directly on the scalar-vector components, and
 determinants are the Study determinant in closed form on the quaternionic
 blocks.  The scalar route runs on Python floats, since a numpy scalar makes
 every product after it slower; components are converted exactly where they
-enter (from_json, ensure_unit, ensure_pure_unit, random_unit,
-random_unit_vector, gamma.slash, group.act_vector, group.decompose) and where
-they leave the array bodies that also serve single elements (algebra.to_coords,
-orbits.orbit_matrix, adjoint, conservation_residuals and OrbitPoint.to_json).
+enter (ensure_unit, ensure_pure_unit, random_unit, random_unit_vector,
+gamma.slash, group.act_vector, group.decompose and the `ds4 decompose` input
+reader in cli) and where they leave the array bodies that also serve single
+elements (algebra.to_coords, orbits.orbit_matrix, adjoint and
+conservation_residuals).
 The 2x2 complex embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k)
 is kept for the independent cross-checks in the test suite; no route of the
 package computes in it.
@@ -76,14 +77,6 @@ class Quaternion(NamedTuple):
 
     def max_abs(self) -> float:
         return max(abs(self.s), abs(self.x), abs(self.y), abs(self.z))
-
-    def to_json(self) -> dict:
-        return {"s": self.s, "v": [self.x, self.y, self.z]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Quaternion":
-        vx, vy, vz = (float(c) for c in obj["v"])
-        return cls(float(obj["s"]), vx, vy, vz)
 
 
 # Type alias used in signatures where unit norm is a precondition; unit-ness

@@ -41,7 +41,7 @@ MIRROR_SIGNS = {
 
 @dataclass
 class RunReport:
-    """Outcome of one suite run; serializes losslessly to JSON."""
+    """Outcome of one suite run, the fields of the `ds4 check` report."""
 
     suite: str
     trials: int
@@ -49,16 +49,6 @@ class RunReport:
     passed: bool
     seed: int
     tol: float
-
-    def to_json(self) -> dict:
-        return {"suite": self.suite, "trials": self.trials,
-                "max_residual": self.max_residual, "pass": self.passed,
-                "seed": self.seed, "tol": self.tol}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RunReport":
-        return cls(obj["suite"], obj["trials"], obj["max_residual"],
-                   obj["pass"], obj["seed"], obj["tol"])
 
 
 def _exact(defect: float) -> float:

@@ -172,6 +172,12 @@ def lorentz_factor_via_products(m: QMat2, w: Quaternion, psi: float) -> QMat2:
     return t_time_translation(-psi).m @ t_space_translation(w.conj()).m @ m
 
 
+def element_json(g) -> dict:
+    """The {"blocks"} record of a group or algebra element (`ds4 decompose`'s
+    input, `ds4 orbit --matrix`'s matrix), written without ds4.cli."""
+    return {"blocks": {k: {"s": q.s, "v": [q.x, q.y, q.z]} for k, q in zip("abcd", g.m)}}
+
+
 def orbit_lines_pointwise(kappa: float, n: int, p_max: float, seed: int, matrix: bool) -> str:
     """`ds4 orbit` stdout built record by record, one row of the sampled stack
     at a time, through the single-point forms of orbit_matrix,
@@ -183,12 +189,15 @@ def orbit_lines_pointwise(kappa: float, n: int, p_max: float, seed: int, matrix:
         X = orbits.orbit_matrix(*pt)
         coords = orbits.to_coadjoint_coords(X)
         res = orbits.conservation_residuals(coords, pt.kappa)
-        record = pt.to_json()
-        record["coords"] = coords.to_json()
-        record["residuals"] = {"r1": [float(c) for c in res.r1], "r2": res.r2,
-                               "degenerate": res.degenerate}
+        s, x, y, w = map(float, pt.z)
+        record = {"z": {"s": s, "v": [x, y, w]}, "p": [float(c) for c in pt.p],
+                  "kappa": pt.kappa,
+                  "coords": {"a": [float(c) for c in coords.a], "j": [float(c) for c in coords.j],
+                             "d0": coords.d0, "d": [float(c) for c in coords.d]},
+                  "residuals": {"r1": [float(c) for c in res.r1], "r2": res.r2,
+                                "degenerate": res.degenerate}}
         if matrix:
-            record["matrix"] = X.m.to_json()
+            record["matrix"] = element_json(X)
         lines.append(json.dumps(record, allow_nan=False))
     return "\n".join(lines) + "\n"
 

@@ -461,10 +461,3 @@ def test_scipy_and_the_oracles_stay_out_of_the_package():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout == "[]\n"
-
-
-def test_algebra_json_roundtrip():
-    rng = np.random.default_rng(58)
-    X = random_element(rng)
-    Y = AlgebraElement.from_json(X.to_json())
-    assert (X.m - Y.m).max_norm() < 1e-15

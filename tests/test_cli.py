@@ -1,12 +1,17 @@
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ds4
 from ds4 import batch, cli, group, orbits, suites
@@ -19,8 +24,9 @@ from ds4.group import (
     reconstruct,
     t_time_translation,
 )
-from ds4.suites import RunReport, run_suite
-from oracles import orbit_lines_pointwise
+from ds4.quaternion import Quaternion
+from ds4.suites import run_suite
+from oracles import element_json, orbit_lines_pointwise
 
 
 def run_cli(capsys, *argv):
@@ -39,8 +45,8 @@ def _reject_constant(token):
 def test_check_brackets_single_trial(capsys):
     code, out, _ = run_cli(capsys, "check", "brackets", "--trials", "1")
     assert code == 0
-    report = RunReport.from_json(json.loads(out))
-    assert report.passed and report.suite == "brackets"
+    report = json.loads(out)
+    assert report["pass"] and report["suite"] == "brackets"
 
 
 def test_check_clifford_residual_zero(capsys):
@@ -50,10 +56,21 @@ def test_check_clifford_residual_zero(capsys):
 
 
 def test_check_report_roundtrips(capsys):
+    # the report carries run_suite's fields, in this order, and nothing else
     code, out, _ = run_cli(capsys, "check", "mirror", "--trials", "20", "--seed", "3")
     assert code == 0
-    obj = json.loads(out)
-    assert json.loads(json.dumps(RunReport.from_json(obj).to_json())) == obj
+    r = run_suite("mirror", trials=20, seed=3)
+    assert out == json.dumps({"suite": r.suite, "trials": r.trials, "max_residual": r.max_residual,
+                              "pass": r.passed, "seed": r.seed, "tol": r.tol}) + "\n"
+
+
+def test_failing_report_writes_a_non_finite_residual_as_null(capsys, monkeypatch):
+    nan = float("nan")
+    monkeypatch.setattr(orbits, "casimir_defect",
+                        lambda a, j, d0, d, kappa: np.full(np.shape(d0), nan))
+    code, out, _ = run_cli(capsys, "check", "orbits", "--trials", "10")
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert code == 1 and report["max_residual"] is None and report["pass"] is False
 
 
 def test_check_unknown_suite_is_usage_error(capsys):
@@ -164,12 +181,19 @@ def _feed(monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
 
 
+def _factors(obj) -> DecompositionFactors:
+    """The factors of a `ds4 decompose` report."""
+    def q(o):
+        return Quaternion(o["s"], *o["v"])
+    return DecompositionFactors(q(obj["w"]), obj["psi"], q(obj["v"]), obj["phi"], q(obj["u"]))
+
+
 def test_decompose_identity(capsys, monkeypatch):
-    _feed(monkeypatch, json.dumps(GroupElement.identity().to_json()))
+    _feed(monkeypatch, json.dumps(element_json(GroupElement.identity())))
     code, out, _ = run_cli(capsys, "decompose")
     assert code == 0
     obj = json.loads(out)
-    f = DecompositionFactors.from_json(obj)
+    f = _factors(obj)
     assert f.w.s == 1.0 and f.psi == 0.0 and f.v.s == 1.0 and f.phi == 0.0
     assert f.u.x == 1.0
     assert obj["residual"] == 0.0
@@ -178,17 +202,17 @@ def test_decompose_identity(capsys, monkeypatch):
 def test_decompose_roundtrip_from_file(capsys, tmp_path):
     g = random_member(np.random.default_rng(99))
     path = tmp_path / "element.json"
-    path.write_text(json.dumps(g.to_json()))
+    path.write_text(json.dumps(element_json(g)))
     code, out, _ = run_cli(capsys, "decompose", "--file", str(path))
     assert code == 0
     obj = json.loads(out)
     assert obj["residual"] < 1e-9
-    f = DecompositionFactors.from_json(obj)
+    f = _factors(obj)
     assert (reconstruct(f).m - g.m).max_norm() < 1e-9
 
 
 def test_decompose_non_member_exits_three(capsys, monkeypatch):
-    _feed(monkeypatch, json.dumps(GroupElement(gamma(4)).to_json()))
+    _feed(monkeypatch, json.dumps(element_json(GroupElement(gamma(4)))))
     code, out, err = run_cli(capsys, "decompose")
     assert code == 3
     report = json.loads(out)  # stdout stays machine readable
@@ -219,7 +243,7 @@ def test_decompose_certifies_once(capsys, monkeypatch):
     real = group.is_member
     monkeypatch.setattr(group, "is_member", counted)
     monkeypatch.setattr(cli, "is_member", counted, raising=False)  # a copy imported by name
-    _feed(monkeypatch, json.dumps(random_member(np.random.default_rng(98)).to_json()))
+    _feed(monkeypatch, json.dumps(element_json(random_member(np.random.default_rng(98)))))
     code, _, _ = run_cli(capsys, "decompose")
     assert code == 0 and len(calls) == 1
 
@@ -229,7 +253,7 @@ def test_decompose_member_that_cannot_be_factored_exits_three(capsys, monkeypatc
     # action leaves the slash image by more than unslash accepts
     m = t_time_translation(1.0).m
     g = GroupElement(m._replace(a=m.a._replace(s=m.a.s + 3e-10)))
-    _feed(monkeypatch, json.dumps(g.to_json()))
+    _feed(monkeypatch, json.dumps(element_json(g)))
     code, out, err = run_cli(capsys, "decompose")
     assert code == 3 and out == ""
     assert len(err.strip().split("\n")) == 1 and "Traceback" not in err
@@ -241,11 +265,30 @@ def test_decompose_parse_error_exits_two(capsys, monkeypatch):
     assert code == 2 and out == "" and err != ""
 
 
-def _diag_with_a_s(token: str) -> str:
-    """diag(2, 1) with a.s spelled as the given JSON token."""
+def _diag_with_a_s(token: str, v: str = "[0, 0, 0]") -> str:
+    """diag(2, 1) with a.s spelled as the given JSON token, and a.v as v."""
     zero = '{"s": 0, "v": [0, 0, 0]}'
-    return (f'{{"blocks": {{"a": {{"s": {token}, "v": [0, 0, 0]}}, "b": {zero}, '
+    return (f'{{"blocks": {{"a": {{"s": {token}, "v": {v}}}, "b": {zero}, '
             f'"c": {zero}, "d": {{"s": 1, "v": [0, 0, 0]}}}}}}')
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_diag_with_a_s('"1"'), id="string-s"),
+    pytest.param(_diag_with_a_s("true"), id="bool-s"),
+    pytest.param(_diag_with_a_s("null"), id="null-s"),
+    pytest.param(_diag_with_a_s("1", '"000"'), id="string-v"),
+    pytest.param(_diag_with_a_s("1", '"123"'), id="digit-string-v"),
+    pytest.param(_diag_with_a_s("1", "[0, 0]"), id="short-v"),
+    pytest.param(_diag_with_a_s("1", "[[0], 0, 0]"), id="nested-v"),
+    pytest.param("[1, 2]", id="top-level-list"),
+    pytest.param("[" * 100_000, id="deep-nesting"),
+])
+def test_decompose_input_of_the_wrong_type_exits_two(capsys, monkeypatch, text):
+    # only JSON numbers are numbers, and v is a list of three of them
+    _feed(monkeypatch, text)
+    code, out, err = run_cli(capsys, "decompose")
+    assert code == 2 and out == "" and "cannot parse input" in err
+    assert "Traceback" not in err and "indices" not in err
 
 
 @pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400",
@@ -267,7 +310,7 @@ def test_decompose_report_beyond_float64_exits_two(capsys, monkeypatch):
 def test_decompose_starts_without_the_array_route(tmp_path):
     # cli imports ds4.batch only where an array route runs; a fresh process shows it
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(t_time_translation(0.3).to_json()))
+    path.write_text(json.dumps(element_json(t_time_translation(0.3))))
     code = ("import sys, ds4\n"
             "print('ds4.batch' in sys.modules)\n"
             "from ds4 import cli\n"
@@ -281,9 +324,60 @@ def test_decompose_starts_without_the_array_route(tmp_path):
     assert (first, last) == ("False", "0 False") and "residual" in json.loads(report)
 
 
+_SENTINEL = "@mutated@"
+#: Leaf values no valid input holds (no 3-element list: that is a valid v).
+_BAD_TOKENS = ['"1"', '"000"', "true", "false", "null", "{}", "[]", "[1]", "[0, 0]",
+               "[0, 0, 0, 0]", "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400]
+#: Paths to every number of a block, and to every v list.
+_LEAVES = ([(k, "s") for k in "abcd"] + [(k, "v") for k in "abcd"]
+           + [(k, "v", i) for k in "abcd" for i in range(3)])
+#: Paths to every key, "blocks" itself included.
+_KEYS = [()] + [(k,) for k in "abcd"] + [(k, f) for k in "abcd" for f in "sv"]
+
+
+def _mutated(obj: dict, path: tuple, token: str | None) -> str:
+    """obj as JSON with the value at path spelled as token, or its key deleted."""
+    node = obj["blocks"] if path else obj
+    for step in path[:-1]:
+        node = node[step]
+    last = path[-1] if path else "blocks"
+    if token is None:
+        del node[last]
+        return json.dumps(obj)
+    node[last] = _SENTINEL
+    return json.dumps(obj).replace(json.dumps(_SENTINEL), token)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["exp", "factors"]),
+       mutation=st.one_of(st.tuples(st.sampled_from(_LEAVES), st.sampled_from(_BAD_TOKENS)),
+                          st.tuples(st.sampled_from(_KEYS), st.none())))
+def test_decompose_mutated_input_exits_two(seed, kind, mutation):
+    # one leaf or key of a valid element goes wrong: a clean exit 2, never a traceback
+    text = _mutated(element_json(random_member(np.random.default_rng(seed), kind)), *mutation)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["decompose"])
+    assert code == 2 and out.getvalue() == "", (text, out.getvalue())
+    assert "cannot parse input" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
 def test_decompose_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "decompose", "--file", "/nonexistent/path.json")
     assert code == 2 and err != ""
+
+
+# ---------------------------------------------------------------------------
+# the JSON formats
+
+def test_only_the_cli_knows_json():
+    # the math modules hold arithmetic; the wire format is written and read in ds4.cli
+    for path in Path(ds4.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "to_json" not in text and "from_json" not in text, path.name
+        imports_json = re.search(r"^\s*(import|from) json\b", text, re.M) is not None
+        assert imports_json == (path.name == "cli.py"), path.name
 
 
 # ---------------------------------------------------------------------------

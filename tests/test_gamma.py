@@ -177,9 +177,3 @@ def test_ds_point_validation():
     R = 1e6
     x = np.array([0.0, 0.0, 0.0, 0.0, R * (1.0 + 1e-12)])
     DSPoint(x, R)
-
-
-def test_ds_point_json_roundtrip():
-    p = origin(2.0)
-    q = DSPoint.from_json(p.to_json())
-    assert np.array_equal(p.x, q.x) and p.R == q.R

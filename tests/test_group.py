@@ -323,7 +323,7 @@ def test_scalar_route_runs_on_python_floats(monkeypatch):
         assert type(to_coords(Y)[2]) is float and type(coords.d0) is float
         assert type(res.r2) is float and type(res.degenerate) is bool
         assert res.degenerate == (Y is not X)
-        json.dumps([Y.to_json(), coords.to_json(), res.r1.tolist(), res.r2, res.degenerate])
+        json.dumps([Y.m, coords.d0, res.r1.tolist(), res.r2, res.degenerate], allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -557,18 +557,3 @@ def test_random_ds_point_is_on_hyperboloid():
         for _ in range(100):
             p = random_ds_point(rng, R)
             assert abs(minkowski_square(p.x) + R * R) <= 1e-9 * R * R
-
-
-def test_group_element_json_roundtrip():
-    rng = np.random.default_rng(46)
-    g = random_member(rng)
-    h = GroupElement.from_json(g.to_json())
-    assert (g.m - h.m).max_norm() == 0.0
-
-
-def test_factors_json_roundtrip():
-    rng = np.random.default_rng(47)
-    f = DecompositionFactors(random_unit(rng), 0.5, random_unit(rng), 1.5,
-                             random_unit_vector(rng))
-    g = DecompositionFactors.from_json(f.to_json())
-    assert f == g

@@ -528,10 +528,3 @@ def test_massless_point_properties():
     assert abs(r.r2) < 1e-10
     with pytest.raises(ValueError):
         massless_orbit_point(Quaternion(1.0, 0.0, 0.0, 0.0), np.zeros(3))
-
-
-def test_orbit_point_json_roundtrip():
-    pts = sample_orbit(2.0, 1, 3.0, seed=5)
-    pt = OrbitPoint(pts.z[0], pts.p[0], pts.kappa)
-    back = OrbitPoint.from_json(pt.to_json())
-    assert np.array_equal(back.z, pt.z) and np.array_equal(back.p, pt.p) and back.kappa == pt.kappa

@@ -159,8 +159,3 @@ def test_ensure_pure_unit():
     for u in (Quaternion(math.nan, 0.0, 1.0, 0.0), Quaternion(0.0, 0.0, math.nan, 0.0)):
         with pytest.raises(ValueError):
             ensure_pure_unit(u)
-
-
-def test_json_roundtrip():
-    q = Quaternion(0.25, -1.5, 3.0, 0.125)
-    assert Quaternion.from_json(q.to_json()) == q
