@@ -160,19 +160,9 @@ def so14_matrix(alpha: int, beta: int) -> np.ndarray:
     return K
 
 
-_PLANES = [(a, b) for a in range(5) for b in range(a + 1, 5)]
-
-
-def _k_qmat_or_zero(alpha: int, beta: int) -> QMat2:
-    return QMat2.zero() if alpha == beta else k_generator(alpha, beta).m
-
-
-def _k_so14_or_zero(alpha: int, beta: int) -> np.ndarray:
-    return np.zeros((5, 5), dtype=int) if alpha == beta else so14_matrix(alpha, beta)
-
-
 def structure_rhs(alpha, beta, rho, delta, k_of):
-    """- (eta_ar K_bd + eta_bd K_ar - eta_ad K_br - eta_br K_ad)."""
+    """- (eta_ar K_bd + eta_bd K_ar - eta_ad K_br - eta_br K_ad), with
+    k_of(alpha, beta) the K of a representation and its zero at alpha = beta."""
     out = None
     for sign, (i1, i2), (j1, j2) in (
         (-1, (alpha, rho), (beta, delta)),
@@ -187,29 +177,6 @@ def structure_rhs(alpha, beta, rho, delta, k_of):
     if out is None:
         out = k_of(0, 0)  # zero element of the representation
     return out
-
-
-def bracket_table_residual_quaternionic() -> float:
-    """Worst defect of the 45 distinct commutators in the quaternionic rep."""
-    worst = 0.0
-    for i, (a, b) in enumerate(_PLANES):
-        for (r, d) in _PLANES[i + 1:]:
-            lhs = bracket(k_generator(a, b), k_generator(r, d)).m
-            rhs = structure_rhs(a, b, r, d, _k_qmat_or_zero)
-            worst = max(worst, (lhs - rhs).max_norm())
-    return worst
-
-
-def bracket_table_defect_so14() -> int:
-    """Worst integer defect of the 45 distinct commutators in the 5x5 rep."""
-    worst = 0
-    for i, (a, b) in enumerate(_PLANES):
-        for (r, d) in _PLANES[i + 1:]:
-            Ka, Kb = so14_matrix(a, b), so14_matrix(r, d)
-            lhs = Ka @ Kb - Kb @ Ka
-            rhs = structure_rhs(a, b, r, d, _k_so14_or_zero)
-            worst = max(worst, int(np.abs(lhs - rhs).max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
+    return value
+
+
 def _reject_constant(token: str):
     raise ValueError(f"non-finite JSON token {token}")
 
@@ -118,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suite", choices=sorted(SUITES))
     p_check.add_argument("--trials", type=_count, default=None)
     p_check.add_argument("--seed", type=_count, default=None)
-    p_check.add_argument("--tol", type=_finite, default=1.0,
+    p_check.add_argument("--tol", type=_tolerance, default=1.0,
                          help="budget multiplier; 1.0 uses the compiled limits")
 
     p_dec = sub.add_parser("decompose", help="factor a group element read as JSON")

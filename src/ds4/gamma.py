@@ -153,11 +153,10 @@ def anticommutator(alpha: int, beta: int) -> QMat2:
 
 
 def dagger_identity_check(alpha: int) -> bool:
-    """True iff dagger(gamma^a) equals gamma^0 gamma^a gamma^0 exactly."""
+    """True iff dagger(gamma^a) equals gamma^0 gamma^a gamma^0 exactly; a NaN
+    component fails it."""
     g = gamma(alpha)
-    lhs = g.dagger()
-    rhs = _GAMMA[0] @ g @ _GAMMA[0]
-    return (lhs - rhs).max_norm() == 0.0
+    return not np.subtract(g.dagger(), _GAMMA[0] @ g @ _GAMMA[0]).any()
 
 
 def slash(x) -> QMat2:

@@ -16,8 +16,6 @@ from ds4.algebra import (
     K_INDEX,
     AlgebraElement,
     bracket,
-    bracket_table_defect_so14,
-    bracket_table_residual_quaternionic,
     exp,
     from_coords,
     generator,
@@ -97,7 +95,6 @@ def test_full_bracket_table_quaternionic():
             rhs = structure_rhs_oracle(a, b, r, d, _k_qmat, QMat2.zero())
             worst = max(worst, (lhs - rhs).max_norm())
     assert worst < 1e-12
-    assert bracket_table_residual_quaternionic() < 1e-12
 
 
 def test_bracket_closure_on_random_elements():
@@ -185,7 +182,6 @@ def test_so14_bracket_table_exact():
             rhs = structure_rhs_oracle(a, b, r, d, _k_so14,
                                        np.zeros((5, 5), dtype=int))
             assert np.array_equal(lhs, rhs), (a, b, r, d)
-    assert bracket_table_defect_so14() == 0
 
 
 def test_so14_time_generator_at_origin():

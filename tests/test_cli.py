@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ds4
-from ds4 import batch, cli, group, orbits, suites
+from ds4 import algebra, batch, cli, group, orbits, suites
 from ds4.cli import main
-from ds4.gamma import gamma
+from ds4.gamma import QMat2, anticommutator, gamma
 from ds4.group import (
     DecompositionFactors,
     GroupElement,
@@ -99,6 +99,7 @@ def test_check_small_fuzz_suites(capsys):
     ("check", "membership", "--trials", "-3"),
     ("check", "clifford", "--seed", "-1"),
     ("orbit", "-n", "1", "--seed", "-5"),
+    ("check", "clifford", "--tol", "-1"),
 ])
 def test_invalid_numeric_flag_is_usage_error(capsys, argv):
     try:
@@ -145,6 +146,61 @@ def test_run_suite_rejects_negative_trials():
         run_suite("membership", trials=-1)
 
 
+def test_run_suite_rejects_a_negative_tolerance():
+    with pytest.raises(ValueError):
+        run_suite("clifford", tol=-1.0)
+    assert run_suite("clifford", tol=0.0).passed  # an exact suite passes at zero tolerance
+
+
+_TRIAL_COUNTS = {
+    "clifford": lambda t: 30,
+    "membership": lambda t: 2 * t,
+    "decomposition": lambda t: t + 5,
+    "brackets": lambda t: 90,
+    "homomorphism": lambda t: 55,
+    "orbits": lambda t: 4 * t + max(1, t // 5),
+    "contraction": lambda t: 26,
+    "mirror": lambda t: 2 * t + 10,
+}
+
+
+@pytest.mark.parametrize("trials", [0, 1, 7])
+@pytest.mark.parametrize("suite", sorted(_TRIAL_COUNTS))
+def test_every_suite_reports_its_trial_count(suite, trials):
+    report = run_suite(suite, trials=trials, seed=2)
+    assert report.trials == _TRIAL_COUNTS[suite](trials) and report.passed
+
+
+#: `ds4 check` stdout at seed 0: default trials for the fixed-table suites,
+#: --trials 200 for the random ones.  A change to one of these lines is a
+#: change to the seeded output, and is named as such where it is made.
+_PINNED_CHECK = {
+    "clifford": ((), '{"suite": "clifford", "trials": 30, "max_residual": 0.0, "pass": true, '
+                     '"seed": 0, "tol": 1.0}'),
+    "brackets": ((), '{"suite": "brackets", "trials": 90, "max_residual": 0.0, "pass": true, '
+                     '"seed": 0, "tol": 1.0}'),
+    "homomorphism": ((), '{"suite": "homomorphism", "trials": 55, "max_residual": 0.0, '
+                         '"pass": true, "seed": 0, "tol": 1.0}'),
+    "contraction": ((), '{"suite": "contraction", "trials": 26, "max_residual": 0.050026649489609554, '
+                        '"pass": true, "seed": 0, "tol": 1.0}'),
+    "membership": (("--trials", "200"), '{"suite": "membership", "trials": 400, '
+                   '"max_residual": 0.0003774758283725532, "pass": true, "seed": 0, "tol": 1.0}'),
+    "decomposition": (("--trials", "200"), '{"suite": "decomposition", "trials": 205, '
+                      '"max_residual": 9.742207041085749e-06, "pass": true, "seed": 0, "tol": 1.0}'),
+    "orbits": (("--trials", "200"), '{"suite": "orbits", "trials": 840, '
+               '"max_residual": 0.00019895196601282805, "pass": true, "seed": 0, "tol": 1.0}'),
+    "mirror": (("--trials", "200"), '{"suite": "mirror", "trials": 410, "max_residual": 0.0, '
+               '"pass": true, "seed": 0, "tol": 1.0}'),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_PINNED_CHECK))
+def test_check_output_is_pinned(capsys, suite):
+    flags, line = _PINNED_CHECK[suite]
+    code, out, err = run_cli(capsys, "check", suite, *flags, "--seed", "0")
+    assert (code, out, err) == (0, line + "\n", "")
+
+
 def test_check_failing_tolerance_exits_one(capsys):
     # contraction has a genuinely nonzero budget fraction; shrinking the
     # budget far enough must flip the verdict and the exit code
@@ -153,8 +209,13 @@ def test_check_failing_tolerance_exits_one(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def _with_a_nan(m):
+    """m with a NaN in one component of one block, which QMat2.max_norm drops."""
+    return m._replace(d=m.d._replace(z=float("nan")))
+
+
 def test_a_nan_residual_fails_its_suite(monkeypatch):
-    # Python's max drops a NaN that does not come first; the suites fold it as inf
+    # Python's max drops a NaN that does not come first; the fold counts it as inf
     nan = float("nan")
     with monkeypatch.context() as m:
         m.setattr(orbits, "casimir_defect", lambda a, j, d0, d, kappa: np.full(np.shape(d0), nan))
@@ -165,12 +226,22 @@ def test_a_nan_residual_fails_its_suite(monkeypatch):
         report = run_suite("membership", 5, 1)
     assert report.max_residual == float("inf") and not report.passed
     with monkeypatch.context() as m:
-        # one component of one block: QMat2.max_norm would drop it as well
-        def reconstruct_with_a_nan(f):
-            blocks = reconstruct(f).m
-            return GroupElement(blocks._replace(d=blocks.d._replace(z=nan)))
-        m.setattr(suites, "reconstruct", reconstruct_with_a_nan)
+        m.setattr(suites, "reconstruct", lambda f: GroupElement(_with_a_nan(reconstruct(f).m)))
         report = run_suite("decomposition", 5, 1)
+    assert report.max_residual == float("inf") and not report.passed
+    with monkeypatch.context() as m:
+        m.setattr(suites, "anticommutator", lambda a, b: _with_a_nan(anticommutator(a, b)))
+        report = run_suite("clifford")
+    assert report.max_residual == float("inf") and not report.passed
+    with monkeypatch.context() as m:
+        dagger = QMat2.dagger
+        m.setattr(QMat2, "dagger", lambda self: _with_a_nan(dagger(self)))
+        report = run_suite("clifford")
+    assert report.max_residual == float("inf") and not report.passed
+    with monkeypatch.context() as m:
+        bracket = algebra.bracket
+        m.setattr(algebra, "bracket", lambda X, Y: algebra.AlgebraElement(_with_a_nan(bracket(X, Y).m)))
+        report = run_suite("brackets")
     assert report.max_residual == float("inf") and not report.passed
 
 

@@ -290,7 +290,7 @@ def test_orbits_suite_near_vanishing_d0():
     g = compose(t_time_translation(1.1), t_boost(3.0, E2))
     X = adjoint(g, adjoint(inverse(g), orbit_matrix(z, p, 0.0)))
     assert abs(to_coadjoint_coords(X).d0 - 1e-6) < 1e-9
-    assert suites._conservation_ratio(np.reshape(X.m, (1, 2, 2, 4)), 0.0) < 1.0
+    assert suites._fold(suites._conservation_rows(np.reshape(X.m, (1, 2, 2, 4)), 0.0)) < 1.0
 
 
 # ---------------------------------------------------------------------------
