@@ -10,7 +10,6 @@ from .gamma import (
     DSPoint,
     QMat2,
     anticommutator,
-    gamma,
     minkowski_square,
     origin,
     slash,

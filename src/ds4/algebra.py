@@ -162,20 +162,18 @@ def so14_matrix(alpha: int, beta: int) -> np.ndarray:
 
 def structure_rhs(alpha, beta, rho, delta, k_of):
     """- (eta_ar K_bd + eta_bd K_ar - eta_ad K_br - eta_br K_ad), with
-    k_of(alpha, beta) the K of a representation and its zero at alpha = beta."""
-    out = None
+    k_of(alpha, beta) the K of a representation.  k_of is called only at
+    distinct indices: a term K_{alpha alpha} = 0 is skipped, and the sum
+    starts from the representation's zero, 0 * k_of(0, 1)."""
+    out = 0 * k_of(0, 1)
     for sign, (i1, i2), (j1, j2) in (
         (-1, (alpha, rho), (beta, delta)),
         (-1, (beta, delta), (alpha, rho)),
         (+1, (alpha, delta), (beta, rho)),
         (+1, (beta, rho), (alpha, delta)),
     ):
-        if i1 != i2:
-            continue
-        term = sign * ETA[i1] * k_of(j1, j2)
-        out = term if out is None else out + term
-    if out is None:
-        out = k_of(0, 0)  # zero element of the representation
+        if i1 == i2 and j1 != j2:
+            out = out + sign * ETA[i1] * k_of(j1, j2)
     return out
 
 
@@ -192,21 +190,6 @@ def slash_induced_matrix(X: AlgebraElement) -> np.ndarray:
     """
     cols = [unslash(X.m @ slash(e) - slash(e) @ X.m) for e in _BASIS5]
     return np.column_stack(cols)
-
-
-def homomorphism_residual(label: str) -> float:
-    """Max-norm gap between the slash-induced matrix and so14_matrix."""
-    L = slash_induced_matrix(generator(label))
-    K = so14_matrix(*K_INDEX[label])
-    return float(np.abs(L - K).max())
-
-
-def intertwining_residual(label1: str, label2: str) -> float:
-    """Check L([G1, G2]) = [L(G1), L(G2)] for a generator pair."""
-    G1, G2 = generator(label1), generator(label2)
-    left = slash_induced_matrix(bracket(G1, G2))
-    L1, L2 = slash_induced_matrix(G1), slash_induced_matrix(G2)
-    return float(np.abs(left - (L1 @ L2 - L2 @ L1)).max())
 
 
 # ---------------------------------------------------------------------------

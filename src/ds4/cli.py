@@ -248,12 +248,12 @@ def _cmd_contract(args) -> int:
         return 2
     grid = np.logspace(np.log10(args.rmin), np.log10(args.rmax), args.steps)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             table = orbits.contraction_sweep(args.m, args.c, args.p, args.q, grid)
         if not np.isfinite(table).all():
-            raise OverflowError("non-finite energy or defect")
-    except ArithmeticError as err:
-        print(f"ds4 contract: the inputs are too large for float64: {err}", file=sys.stderr)
+            raise OverflowError("the inputs are too large for float64")
+    except (ArithmeticError, ValueError) as err:
+        print(f"ds4 contract: {err}", file=sys.stderr)
         return 2
     slope = orbits.defect_slope(table)
     if args.format == "json":

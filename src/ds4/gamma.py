@@ -152,13 +152,6 @@ def anticommutator(alpha: int, beta: int) -> QMat2:
     return ga @ gb + gb @ ga
 
 
-def dagger_identity_check(alpha: int) -> bool:
-    """True iff dagger(gamma^a) equals gamma^0 gamma^a gamma^0 exactly; a NaN
-    component fails it."""
-    g = gamma(alpha)
-    return not np.subtract(g.dagger(), _GAMMA[0] @ g @ _GAMMA[0]).any()
-
-
 def slash(x) -> QMat2:
     """Map a 5-vector to x^alpha gamma_alpha.
 

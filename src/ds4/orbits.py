@@ -224,8 +224,11 @@ def contraction_sweep(m: float, c: float, p, q, R_list) -> np.ndarray:
 
     The positive energy root is solved at every R at once and the defect
     E^2 - c^2 p.p - m^2 c^4 recorded; rows are (R, E, defect).  The
-    defect falls off as 1/R^2, slope -2 on a log-log plot.
+    defect falls off as 1/R^2, slope -2 on a log-log plot.  ValueError
+    unless m >= 0 (m = 0 is the massless limit) and c > 0.
     """
+    if not (m >= 0 and c > 0):
+        raise ValueError("need mass m >= 0 and speed of light c > 0")
     R_list = np.asarray(R_list, dtype=float)
     if R_list.ndim != 1 or len(R_list) < 1:
         raise ValueError("need a one-dimensional list of radii")

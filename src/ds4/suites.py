@@ -3,13 +3,15 @@
 Each suite yields rows (residual, budget), one per condition it checks.  A
 residual is a float or the raw components of a difference (an array, or a
 QMat2's blocks), never a maximum taken beforehand; a budget of 0.0 marks a
-condition that must hold exactly.  `run_suite` alone reduces the rows, with
-`_fold`, to the worst fraction max |residual| / budget: an exact row counts 0
-when every component is zero and infinity otherwise, and a NaN counts as
-infinity.  A report passes when that fraction is at most the tolerance (1.0
-by default), so `--tol 2` uniformly doubles every budget.  The trial count a
-report carries is data in SUITES: a function of the requested trials for the
-four random suites, and the table size for the four fixed-table suites.
+condition that must hold exactly.  Each row is computed here from the maps
+it checks, not by a helper that reduces or pads it.  `run_suite` alone
+reduces the rows, with `_fold`, to the worst fraction max |residual| /
+budget: an exact row counts 0 when every component is zero and infinity
+otherwise, and a NaN counts as infinity.  A report passes when that fraction
+is at most the tolerance (1.0 by default), so `--tol 2` uniformly doubles
+every budget.  The trial count a report carries is data in SUITES: a function
+of the requested trials for the four random suites, and the table size for
+the four fixed-table suites.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import algebra, group, orbits
-from .gamma import ETA, QMat2, anticommutator, dagger_identity_check, gamma, minkowski_square
+from .gamma import ETA, QMat2, anticommutator, gamma, minkowski_square
 from .group import (
     compose,
     decompose,
@@ -61,13 +63,15 @@ def _mixed_member(rng, i: int):
 
 
 def suite_clifford(trials, rng):
-    """All 25 anticommutators and 5 dagger identities, exact."""
+    """All 25 anticommutators and the 5 dagger identities
+    dagger(gamma^a) = gamma^0 gamma^a gamma^0, exact."""
     for a in range(5):
         for b in range(5):
             want = QMat2.identity().scale(2.0 * ETA[a] if a == b else 0.0)
             yield np.subtract(anticommutator(a, b), want), 0.0
-    for a in range(5):
-        yield float(not dagger_identity_check(a)), 0.0
+    g0 = gamma(0)
+    for g in map(gamma, range(5)):
+        yield np.subtract(g.dagger(), g0 @ g @ g0), 0.0
 
 
 def suite_membership(trials: int, rng):
@@ -97,33 +101,26 @@ def suite_decomposition(trials: int, rng):
         yield np.subtract(reconstruct(decompose(g)).m, g.m), 1e-9
 
 
-def _k_qmat_or_zero(alpha: int, beta: int) -> QMat2:
-    return QMat2.zero() if alpha == beta else algebra.k_generator(alpha, beta).m
-
-
-def _k_so14_or_zero(alpha: int, beta: int) -> np.ndarray:
-    return np.zeros((5, 5), dtype=int) if alpha == beta else algebra.so14_matrix(alpha, beta)
-
-
 def suite_brackets(trials, rng):
     """The 45 distinct commutators of plane generators against the structure
     constants: budget 1e-12 in the quaternionic rep, exact in the 5x5."""
-    pairs = list(combinations(combinations(range(5), 2), 2))
-    for (a, b), (r, d) in pairs:
+    for (a, b), (r, d) in combinations(combinations(range(5), 2), 2):
         lhs = algebra.bracket(algebra.k_generator(a, b), algebra.k_generator(r, d)).m
-        yield np.subtract(lhs, algebra.structure_rhs(a, b, r, d, _k_qmat_or_zero)), 1e-12
-    for (a, b), (r, d) in pairs:
+        rhs = algebra.structure_rhs(a, b, r, d, lambda i, j: algebra.k_generator(i, j).m)
+        yield np.subtract(lhs, rhs), 1e-12
         Ka, Kb = algebra.so14_matrix(a, b), algebra.so14_matrix(r, d)
-        yield Ka @ Kb - Kb @ Ka - algebra.structure_rhs(a, b, r, d, _k_so14_or_zero), 0.0
+        yield Ka @ Kb - Kb @ Ka - algebra.structure_rhs(a, b, r, d, algebra.so14_matrix), 0.0
 
 
 def suite_homomorphism(trials, rng):
-    """Slash-induced matrices against the 5x5 family, budget 1e-12."""
-    labels = algebra.GENERATOR_LABELS
-    for lab in labels:
-        yield algebra.homomorphism_residual(lab), 1e-12
-    for l1, l2 in combinations(labels, 2):
-        yield algebra.intertwining_residual(l1, l2), 1e-12
+    """The slash-induced matrix L(G) of each generator against the 5x5 family,
+    and the intertwining L([G1, G2]) = [L(G1), L(G2)] of each pair, budget 1e-12."""
+    L = {lab: algebra.slash_induced_matrix(algebra.generator(lab)) for lab in algebra.GENERATOR_LABELS}
+    for lab, (alpha, beta) in algebra.K_INDEX.items():
+        yield L[lab] - algebra.so14_matrix(alpha, beta), 1e-12
+    for l1, l2 in combinations(algebra.GENERATOR_LABELS, 2):
+        left = algebra.slash_induced_matrix(algebra.bracket(algebra.generator(l1), algebra.generator(l2)))
+        yield left - (L[l1] @ L[l2] - L[l2] @ L[l1]), 1e-12
 
 
 def _conservation_rows(X, kappa: float):

@@ -19,13 +19,12 @@ from ds4.algebra import (
     exp,
     from_coords,
     generator,
-    homomorphism_residual,
-    intertwining_residual,
     k_generator,
     random_element,
     shape_residual,
     slash_induced_matrix,
     so14_matrix,
+    structure_rhs,
     to_coords,
 )
 from ds4.gamma import ETA, QMat2, embed_blocks
@@ -184,6 +183,28 @@ def test_so14_bracket_table_exact():
             assert np.array_equal(lhs, rhs), (a, b, r, d)
 
 
+def _refusing_equal_indices(k_of):
+    def k(p, q):
+        if p == q:
+            raise AssertionError(f"k_of called at equal indices ({p}, {q})")
+        return k_of(p, q)
+    return k
+
+
+def test_structure_rhs_calls_k_only_at_distinct_indices():
+    # every ordered pair of planes, a plane with itself and with its reverse
+    # included, so that some terms are K_{alpha alpha} and some sums are empty
+    planes = [(a, b) for a in range(5) for b in range(5) if a != b]
+    k_qmat = _refusing_equal_indices(lambda p, q: k_generator(p, q).m)
+    k_so14 = _refusing_equal_indices(so14_matrix)
+    for a, b in planes:
+        for r, d in planes:
+            want = structure_rhs_oracle(a, b, r, d, _k_qmat, QMat2.zero())
+            assert np.array_equal(structure_rhs(a, b, r, d, k_qmat), want), (a, b, r, d)
+            want = structure_rhs_oracle(a, b, r, d, _k_so14, np.zeros((5, 5), dtype=int))
+            assert np.array_equal(structure_rhs(a, b, r, d, k_so14), want), (a, b, r, d)
+
+
 def test_so14_time_generator_at_origin():
     # K_{04} moves the base point along the time axis; the sign is part of
     # the documented convention (positive with the axis signs used here)
@@ -204,7 +225,8 @@ def test_so14_invalid_plane():
 
 def test_homomorphism_per_generator():
     for lab in GENERATOR_LABELS:
-        assert homomorphism_residual(lab) < 1e-12, lab
+        L = slash_induced_matrix(generator(lab))
+        assert np.abs(L - so14_matrix(*K_INDEX[lab])).max() < 1e-12, lab
 
 
 def test_homomorphism_scale_is_unity():
@@ -227,7 +249,10 @@ def test_slash_induced_linearity():
 def test_bracket_intertwining():
     for i, l1 in enumerate(GENERATOR_LABELS):
         for l2 in GENERATOR_LABELS[i + 1:]:
-            assert intertwining_residual(l1, l2) < 1e-12, (l1, l2)
+            G1, G2 = generator(l1), generator(l2)
+            L1, L2 = slash_induced_matrix(G1), slash_induced_matrix(G2)
+            left = slash_induced_matrix(bracket(G1, G2))
+            assert np.abs(left - (L1 @ L2 - L2 @ L1)).max() < 1e-12, (l1, l2)
 
 
 # ---------------------------------------------------------------------------

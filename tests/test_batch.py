@@ -15,11 +15,16 @@ check, the chart and the orbit residuals have one body too.  Here they run
 on stacks.
 """
 
+import importlib
+import pkgutil
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ds4
 from ds4 import algebra, batch, gamma, group, orbits, quaternion, suites
 from ds4.gamma import QMat2
 from ds4.group import DecompositionFactors, NonMemberError
@@ -144,6 +149,14 @@ def test_exp_matches_scalar():
         assert np.abs(got[k] - want).max() <= 64 * EPS * _scale(want)
 
 
+def test_each_submodule_attribute_is_the_module():
+    # a re-export named like its module (the function gamma.gamma, say) would
+    # shadow the module, and a monkeypatch of it would miss the module
+    for info in pkgutil.iter_modules(ds4.__path__):
+        module = importlib.import_module(f"ds4.{info.name}")
+        assert getattr(ds4, info.name) is module is sys.modules[f"ds4.{info.name}"], info.name
+
+
 def test_exp_routes_avoid_the_embedding(monkeypatch):
     def refuse(*args):
         raise AssertionError("embedding route taken")
@@ -151,6 +164,7 @@ def test_exp_routes_avoid_the_embedding(monkeypatch):
     for module in (quaternion, gamma, algebra, batch):  # and each copy imported by name
         for name in ("embed", "embed_blocks"):
             monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(QMat2, "embed", refuse)
     c = np.random.default_rng(405).uniform(-1.0, 1.0, (8, 10))
     x = batch.from_coords(c[:, 0:3], c[:, 3:6], c[:, 6], c[:, 7:10])
     assert batch.exp(x).shape == x.shape

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -100,6 +101,9 @@ def test_check_small_fuzz_suites(capsys):
     ("check", "clifford", "--seed", "-1"),
     ("orbit", "-n", "1", "--seed", "-5"),
     ("check", "clifford", "--tol", "-1"),
+    ("contract", "--m", "-2"),
+    ("contract", "--c", "-1"),
+    ("contract", "--c", "0"),
 ])
 def test_invalid_numeric_flag_is_usage_error(capsys, argv):
     try:
@@ -115,9 +119,12 @@ def test_invalid_numeric_flag_is_usage_error(capsys, argv):
     ("orbit", "--kappa", "1e154", "-n", "1"),
     ("orbit", "--kappa", "1e308", "-n", "1"),
     ("contract", "--m", "1e200", "--steps", "3"),
+    ("contract", "--rmin", "1e-300", "--rmax", "1e300", "--steps", "5"),
 ])
 def test_overflowing_value_is_usage_error(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr
+        code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err != "" and "Traceback" not in err
 
 
@@ -242,6 +249,12 @@ def test_a_nan_residual_fails_its_suite(monkeypatch):
         bracket = algebra.bracket
         m.setattr(algebra, "bracket", lambda X, Y: algebra.AlgebraElement(_with_a_nan(bracket(X, Y).m)))
         report = run_suite("brackets")
+    assert report.max_residual == float("inf") and not report.passed
+    with monkeypatch.context() as m:
+        induced, spot = algebra.slash_induced_matrix, np.zeros((5, 5))
+        spot[2, 3] = nan
+        m.setattr(algebra, "slash_induced_matrix", lambda X: induced(X) + spot)
+        report = run_suite("homomorphism")
     assert report.max_residual == float("inf") and not report.passed
 
 

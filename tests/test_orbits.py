@@ -411,6 +411,18 @@ def test_sweep_grid_validation():
         contraction_sweep(1.0, 1.0, (1, 0, 0), (0, 1, 0), [-1.0, 5.0])
 
 
+@pytest.mark.parametrize("m, c", [(-2.0, 1.0), (1.0, -1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)])
+def test_sweep_needs_nonnegative_mass_and_positive_c(m, c):
+    # a negative m or c would square away to the table of |m| or |c|
+    with pytest.raises(ValueError, match="m >= 0"):
+        contraction_sweep(m, c, (1, 0, 0), (0, 1, 0), [10.0, 100.0])
+
+
+def test_sweep_massless_limit_is_on_shell():
+    table = contraction_sweep(0.0, 2.0, (3, 0, 0), (0, 1, 0), [10.0, 100.0])
+    assert np.array_equal(table[:, 1:], [[6.0, 0.0], [6.0, 0.0]])
+
+
 # ---------------------------------------------------------------------------
 # sampling and the massless family
 
