@@ -26,7 +26,6 @@ from .group import (
     inverse,
     involution,
     is_member,
-    mirror_generator_signs,
     reconstruct,
     t_boost,
     t_space_rotation,

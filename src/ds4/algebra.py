@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gamma import ETA, QMat2, _mul_add, _quaternion, slash, unslash
+from .gamma import ETA, QMat2, slash, unslash
 from .group import GroupElement, certified
-from .quaternion import E1, E2, E3, ONE, ZERO, Quaternion
+from .quaternion import E1, E2, E3, ONE, ZERO, Quaternion, _mul, _mul_add, _quaternion
 
 GENERATOR_LABELS = ("X1", "X2", "X3", "X0", "Y1", "Y2", "Y3", "Z1", "Z2", "Z3")
 
@@ -273,11 +273,6 @@ def _exp_coefficients(sigma: float, rho: float) -> tuple[float, float, float, fl
     return 0.5 * (ch1 + ch2), (ch1 - ch2) / (z1 - z2), 0.5 * (sc1 + sc2), (sc1 - sc2) / (z1 - z2)
 
 
-def _re(p, q) -> float:
-    """Scalar part of the quaternion product p q."""
-    return p[0] * q[0] - p[1] * q[1] - p[2] * q[2] - p[3] * q[3]
-
-
 def _expm(m) -> QMat2:
     """exp of a quaternionic matrix m = (a, b, c, d), a QMat2 or four
     4-sequences, as c0 I + c1 N + s0 m + s1 m N on Python floats: the
@@ -291,7 +286,7 @@ def _expm(m) -> QMat2:
     na, nb, nc, nd = _mul_add(a, a, b, c), _mul_add(a, b, b, d), _mul_add(c, a, d, c), _mul_add(c, b, d, d)
     sigma = 0.5 * (na[0] + nd[0])
     na, nd = (na[0] - sigma, *na[1:]), (nd[0] - sigma, *nd[1:])
-    rho = 0.5 * (_re(na, na) + _re(nd, nd)) + _re(nb, nc)
+    rho = 0.5 * _mul_add(na, na, nd, nd)[0] + _mul(nb, nc)[0]  # tr(N^2)/4
     c0, c1, s0, s1 = _exp_coefficients(sigma, rho)
     xn = _mul_add(a, na, b, nc) + _mul_add(a, nb, b, nd) + _mul_add(c, na, d, nc) + _mul_add(c, nb, d, nd)
     e = [c1 * n + s0 * y + s1 * z for n, y, z in zip((*na, *nb, *nc, *nd), x, xn)]

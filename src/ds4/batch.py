@@ -6,10 +6,11 @@ quaternionic matrix a (..., 2, 2, 4) array of blocks [[a, b], [c, d]].
 Matrix products run on the real 8x8 left-multiplication matrices of the
 blocks (left_matrices), which one product by a constant table writes in
 their final layout, so a call costs a few numpy calls whatever the number
-of elements and copies no matrix; quaternion products are written out
-component by component, with the operations of Quaternion.__mul__ in their
-order, so they are bitwise the scalar ones.  reconstruct is group.reconstruct's
-closed form, six quaternion products and no matrix product.  The
+of elements and copies no matrix.  Quaternion products and reconstruct run
+the scalar route's own bodies, quaternion._mul and group.factor_blocks, on
+component-major arrays (the .T of a stack), so on equal inputs they give
+the scalar route's bits; reconstruct takes six quaternion products and no
+matrix product, on numpy's cosh, sinh and normalization.  The
 exponential is algebra.exp's closed form, with its two products by matmul;
 its coefficients take the branch most elements fall in over the arrays and
 the scalar route's function on the rest.  Each routine is the twin of the
@@ -29,8 +30,8 @@ import numpy as np
 
 from .algebra import _CONJ, _NOT_FINITE, _OVERFLOW, _SERIES_RADIUS
 from .algebra import _exp_coefficients as _scalar_exp_coefficients
-from .group import MEMBER_TOL, MembershipReport, NonMemberError
-from .quaternion import UNIT_TOL, Quaternion
+from .group import MEMBER_TOL, MembershipReport, NonMemberError, factor_blocks
+from .quaternion import UNIT_TOL, Quaternion, _mul
 
 #: Trials per array in a suite run; bounds the peak memory.
 CHUNK = 512
@@ -51,13 +52,8 @@ def blocks(a, b, c, d) -> np.ndarray:
 
 
 def mul(p, q) -> np.ndarray:
-    """Quaternion products p q, bitwise Quaternion.__mul__."""
-    s1, x1, y1, z1 = p.T
-    s2, x2, y2, z2 = q.T
-    return np.array((s1 * s2 - x1 * x2 - y1 * y2 - z1 * z2,
-                     s1 * x2 + s2 * x1 + y1 * z2 - z1 * y2,
-                     s1 * y2 + s2 * y1 + z1 * x2 - x1 * z2,
-                     s1 * z2 + s2 * z1 + x1 * y2 - y1 * x2)).T
+    """Quaternion products p q by quaternion._mul, as Quaternion.__mul__."""
+    return np.array(_mul(p.T, q.T)).T
 
 
 def left_matrices(m) -> np.ndarray:
@@ -135,14 +131,12 @@ def certified(m) -> np.ndarray:
 
 def reconstruct(w, psi, v, phi, u) -> np.ndarray:
     """T_st(w) T_tt(psi) T_sr(v) T_bt(phi, u) for (n, 4) unit quaternions w, v
-    and (n, 3) unit directions u, in group.reconstruct's closed form."""
+    and (n, 3) unit directions u, by group.factor_blocks."""
     w, v, u = unit(w), unit(v), unit(u)
     ch, sh = np.cosh(0.5 * psi), np.sinh(0.5 * psi)
     cb, sb = np.cosh(0.5 * phi), np.sinh(0.5 * phi)
-    p = np.concatenate(((ch * cb)[:, None], (-sh * sb)[:, None] * u), -1)
-    q = np.concatenate(((sh * cb)[:, None], (ch * sb)[:, None] * u), -1)
-    wv, wbv = mul(w, v), mul(conj(w), v)
-    return blocks(mul(wv, p), mul(wv, q), mul(wbv, conj(q)), mul(wbv, conj(p)))
+    out = np.array(factor_blocks(w.T, v.T, u.T, ch, sh, cb, sb))  # (4 blocks, 4 components, n)
+    return out.reshape(2, 2, 4, -1).transpose(3, 0, 1, 2)
 
 
 def from_coords(a, j, d0, d) -> np.ndarray:

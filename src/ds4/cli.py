@@ -213,6 +213,9 @@ def _cmd_orbit(args) -> int:
         print(f"ds4 orbit: kappa or the momentum window is too large for float64: {err}",
               file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"ds4 orbit: {args.samples} samples do not fit in memory", file=sys.stderr)
+        return 2
     print("\n".join(lines))
     return 0
 
@@ -246,14 +249,20 @@ def _cmd_contract(args) -> int:
     if args.steps < 2 or args.rmin <= 0 or args.rmax <= args.rmin:
         print("ds4 contract: need steps >= 2 and 0 < rmin < rmax", file=sys.stderr)
         return 2
-    grid = np.logspace(np.log10(args.rmin), np.log10(args.rmax), args.steps)
     try:
+        grid = np.logspace(np.log10(args.rmin), np.log10(args.rmax), args.steps)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             table = orbits.contraction_sweep(args.m, args.c, args.p, args.q, grid)
         if not np.isfinite(table).all():
-            raise OverflowError("the inputs are too large for float64")
+            raise OverflowError
+    except OverflowError:  # a Python float's c**2 raises it, with errno text
+        print("ds4 contract: the inputs are too large for float64", file=sys.stderr)
+        return 2
     except (ArithmeticError, ValueError) as err:
         print(f"ds4 contract: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"ds4 contract: {args.steps} steps do not fit in memory", file=sys.stderr)
         return 2
     slope = orbits.defect_slope(table)
     if args.format == "json":

@@ -8,13 +8,13 @@ how the group acts on the hyperboloid of radius R.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .quaternion import ONE, ZERO, E1, E2, E3, Quaternion, embed
+from .quaternion import ONE, ZERO, E1, E2, E3, Quaternion, _mul_add, _quaternion, embed
 
 #: Ambient Minkowski metric diag(1,-1,-1,-1,-1) as integer signs.
 ETA = (1, -1, -1, -1, -1)
@@ -43,10 +43,14 @@ class DSPoint:
         x = np.array(self.x, dtype=float)
         if x.shape != (5,):
             raise ValueError(f"expected 5 components, got shape {x.shape}")
-        if not self.R > 0:
-            raise ValueError("radius must be positive")
-        defect = abs(minkowski_square(x) + self.R**2)
-        if not defect <= 1e-9 * self.R**2:
+        if not 0.0 < self.R < math.inf:
+            raise ValueError("radius must be positive and finite")
+        try:
+            R2 = float(self.R) ** 2
+        except OverflowError:
+            raise ValueError(f"radius {float(self.R)!r} is too large for float64") from None
+        defect = abs(minkowski_square(x) + R2)
+        if not defect <= 1e-9 * R2:
             raise ValueError(f"point is off the hyperboloid (defect {defect:.3e})")
         object.__setattr__(self, "x", x)
 
@@ -98,27 +102,6 @@ class QMat2(NamedTuple):
     def identity(cls) -> "QMat2":
         return _QID
 
-    @classmethod
-    def zero(cls) -> "QMat2":
-        return _QZERO
-
-
-#: Quaternion._make without its length check, for the 4-tuples of _mul_add.
-_quaternion = partial(tuple.__new__, Quaternion)
-
-
-def _mul_add(p, q, r, t) -> tuple:
-    """p q + r t for quaternions given as 4-sequences, in one pass and as a
-    tuple of 4 floats, with the operations of p * q + r * t in their order."""
-    (s1, x1, y1, z1), (s2, x2, y2, z2) = p, q
-    (s3, x3, y3, z3), (s4, x4, y4, z4) = r, t
-    return (
-        (s1 * s2 - x1 * x2 - y1 * y2 - z1 * z2) + (s3 * s4 - x3 * x4 - y3 * y4 - z3 * z4),
-        (s1 * x2 + s2 * x1 + y1 * z2 - z1 * y2) + (s3 * x4 + s4 * x3 + y3 * z4 - z3 * y4),
-        (s1 * y2 + s2 * y1 + z1 * x2 - x1 * z2) + (s3 * y4 + s4 * y3 + z3 * x4 - x3 * z4),
-        (s1 * z2 + s2 * z1 + x1 * y2 - y1 * x2) + (s3 * z4 + s4 * z3 + x3 * y4 - y3 * x4),
-    )
-
 
 def embed_blocks(m) -> np.ndarray:
     """4x4 complex embeddings of (..., 2, 2, 4) quaternion blocks [[a, b], [c, d]]."""
@@ -127,7 +110,6 @@ def embed_blocks(m) -> np.ndarray:
 
 
 _QID = QMat2(ONE, ZERO, ZERO, ONE)
-_QZERO = QMat2(ZERO, ZERO, ZERO, ZERO)
 
 # gamma^0 = (1 0; 0 -1), gamma^k = (0 e_k; e_k 0), gamma^4 = (0 1; -1 0)
 _GAMMA = (

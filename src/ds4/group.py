@@ -15,12 +15,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gamma import DSPoint, QMat2, _max_abs, _mul_add, gamma, unslash
+from .gamma import DSPoint, QMat2, _max_abs, gamma, unslash
 from .quaternion import (
     E1,
     ZERO,
     Quaternion,
     UnitQuaternion,
+    _mul,
+    _mul_add,
+    _quaternion,
     ensure_pure_unit,
     ensure_unit,
     random_unit,
@@ -28,7 +31,6 @@ from .quaternion import (
     sqrt_unit,
 )
 
-_G0 = gamma(0)
 _SWAP = gamma(0) @ gamma(4)  # equals (0 1; 1 0)
 _ORIGIN1 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
 #: Default bound on both membership defects (batch.certified too).
@@ -75,10 +77,11 @@ def is_member(m, tol: float = MEMBER_TOL) -> MembershipReport:
     |a|^2 |d - c conj(a) b / |a|^2|^2 (Aslaksen, "Quaternionic determinants",
     1996), with the block rows swapped first when |c| > |a|, which leaves it
     unchanged; the unpivoted expansion would cancel like eps |m|^4.  The
-    defect of dagger(m) gamma^0 m - gamma^0 is four _mul_add calls, the
-    conjugations and the signs of gamma^0 m = (a, b; -c, -d) folded into
-    their arguments; it is NaN if the sandwich holds a NaN.  Both residuals
-    are bitwise those of the QMat2 route, tests/oracles.py::is_member_via_qmat.
+    product c conj(a) b in it is two quaternion._mul calls.  The defect of
+    dagger(m) gamma^0 m - gamma^0 is four _mul_add calls, the conjugations
+    and the signs of gamma^0 m = (a, b; -c, -d) folded into their arguments;
+    it is NaN if the sandwich holds a NaN.  Both residuals are bitwise those
+    of the QMat2 route, tests/oracles.py::is_member_via_qmat.
     """
     a, b, c, d = _qmat(m)
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a, b, c, d
@@ -88,16 +91,12 @@ def is_member(m, tol: float = MEMBER_TOL) -> MembershipReport:
     s21, s22 = _mul_add(cb, a, cd, nc), _mul_add(cb, b, cd, nd)
     unit_defect = float(_max_abs((s11[0] - 1.0, *s11[1:], *s12, *s21, s22[0] + 1.0, *s22[1:])))
     if c.norm2() > a.norm2():  # swap the block rows
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = c, d, a, b
+        (a0, a1, a2, a3), b, c, (d0, d1, d2, d3) = c, d, a, b
     n, det = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3, 0.0
-    if n != 0.0:  # y = c conj(a), the signs of conj(a) folded into the products
-        y0, y1 = c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3, a0 * c1 - c0 * a1 - c2 * a3 + c3 * a2
-        y2, y3 = a0 * c2 - c0 * a2 - c3 * a1 + c1 * a3, a0 * c3 - c0 * a3 - c1 * a2 + c2 * a1
-        k = 1.0 / n  # e = d - k y b
-        e0 = d0 - k * (y0 * b0 - y1 * b1 - y2 * b2 - y3 * b3)
-        e1 = d1 - k * (y0 * b1 + b0 * y1 + y2 * b3 - y3 * b2)
-        e2 = d2 - k * (y0 * b2 + b0 * y2 + y3 * b1 - y1 * b3)
-        e3 = d3 - k * (y0 * b3 + b0 * y3 + y1 * b2 - y2 * b1)
+    if n != 0.0:  # e = d - k c conj(a) b
+        k = 1.0 / n
+        y0, y1, y2, y3 = _mul(_mul(c, (a0, -a1, -a2, -a3)), b)
+        e0, e1, e2, e3 = d0 - k * y0, d1 - k * y1, d2 - k * y2, d3 - k * y3
         det = n * (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
     det_defect = float(abs(det - 1.0))
     return MembershipReport(det_defect, unit_defect, tol,
@@ -181,18 +180,28 @@ class DecompositionFactors(NamedTuple):
     u: Quaternion
 
 
+def factor_blocks(w, v, u, ch, sh, cb, sb) -> tuple:
+    """Blocks (a, b, c, d) of T_st(w) T_tt(psi) T_sr(v) T_bt(phi, u) in closed
+    form, from unit quaternions w, v, a unit direction u = (u1, u2, u3), ch, sh
+    = cosh, sinh(psi/2) and cb, sb = cosh, sinh(phi/2): with p = (ch cb, -sh sb u)
+    and q = (sh cb, ch sb u) they are (w v p, w v q; conj(w) v conj(q),
+    conj(w) v conj(p)).  Components are Python floats (reconstruct) or
+    component-major arrays (batch.reconstruct), through quaternion._mul."""
+    (u1, u2, u3), (w0, w1, w2, w3) = u, w
+    t, k = -sh * sb, ch * sb
+    p0, p1, p2, p3 = ch * cb, t * u1, t * u2, t * u3
+    q0, q1, q2, q3 = sh * cb, k * u1, k * u2, k * u3
+    wv, wbv = _mul(w, v), _mul((w0, -w1, -w2, -w3), v)
+    return (_mul(wv, (p0, p1, p2, p3)), _mul(wv, (q0, q1, q2, q3)),
+            _mul(wbv, (q0, -q1, -q2, -q3)), _mul(wbv, (p0, -p1, -p2, -p3)))
+
+
 def reconstruct(f: DecompositionFactors) -> GroupElement:
-    """Product T_st(w) T_tt(psi) T_sr(v) T_bt(phi, u) in closed form: with
-    ch, sh = cosh, sinh(psi/2), cb, sb = cosh, sinh(phi/2), p = (ch cb, -sh sb u)
-    and q = (sh cb, ch sb u) it is (w v p, w v q; conj(w) v conj(q), conj(w) v conj(p))."""
+    """Product T_st(w) T_tt(psi) T_sr(v) T_bt(phi, u) by factor_blocks."""
     w, v, u = ensure_unit(f.w), ensure_unit(f.v), ensure_pure_unit(f.u)
     ch, sh = math.cosh(0.5 * f.psi), math.sinh(0.5 * f.psi)
     cb, sb = math.cosh(0.5 * f.phi), math.sinh(0.5 * f.phi)
-    t, k = -sh * sb, ch * sb
-    p = Quaternion(ch * cb, t * u.x, t * u.y, t * u.z)
-    q = Quaternion(sh * cb, k * u.x, k * u.y, k * u.z)
-    wv, wbv = w * v, w.conj() * v
-    return GroupElement(QMat2(wv * p, wv * q, wbv * q.conj(), wbv * p.conj()))
+    return GroupElement(QMat2(*map(_quaternion, factor_blocks(w, v, u[1:], ch, sh, cb, sb))))
 
 
 def _lorentz_factor(m: QMat2, w: Quaternion, psi: float) -> QMat2:
@@ -273,27 +282,6 @@ def involution(g) -> QMat2:
     the four-factor splitting well posed.
     """
     return _SWAP @ _qmat(g).dagger() @ _SWAP
-
-
-def mirror_generator_signs() -> dict[str, int]:
-    """Conjugate each algebra generator by gamma^0 and record the sign.
-
-    Every generator maps to plus or minus itself; anything else would
-    falsify the block computation and raises.
-    """
-    from .algebra import GENERATOR_LABELS, generator
-
-    signs: dict[str, int] = {}
-    for label in GENERATOR_LABELS:
-        G = generator(label).m
-        ad = _G0 @ G @ _G0  # gamma^0 is its own inverse
-        if (ad - G).max_norm() <= 1e-12:
-            signs[label] = +1
-        elif (ad + G).max_norm() <= 1e-12:
-            signs[label] = -1
-        else:
-            raise RuntimeError(f"Ad_gamma0({label}) is not proportional to {label}")
-    return signs
 
 
 def random_member(rng: np.random.Generator, method: str = "factors") -> GroupElement:

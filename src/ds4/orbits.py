@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import AlgebraElement, _blocks, from_coords, shape_checked, to_coords
-from .gamma import QMat2, _quaternion
-from .quaternion import Quaternion, UnitQuaternion, ensure_pure_unit, ensure_unit
+from .gamma import QMat2
+from .quaternion import Quaternion, UnitQuaternion, _quaternion, ensure_pure_unit, ensure_unit
 
 
 class OrbitPoint(NamedTuple):
@@ -180,8 +180,8 @@ def physicalize(coords: CoadjointCoords, m: float, c: float, R: float) -> Physic
     and d = kappa q/R; solving with kappa = m c^2 gives E = d0,
     p = a/c and q = d R/(m c^2).  Angular momentum is l = q x p.
     """
-    if m <= 0 or c <= 0 or R <= 0:
-        raise ValueError("mass, speed of light and radius must be positive")
+    if not (0.0 < m < math.inf and 0.0 < c < math.inf and 0.0 < R < math.inf):
+        raise ValueError("mass, speed of light and radius must be finite and positive")
     kappa = m * c**2
     p = coords.a * (m * c) / kappa
     q = coords.d * R / kappa
@@ -209,12 +209,14 @@ def positive_energy(m: float, c: float, p, q, R):
     The larger E^2 root is the branch that survives the flat limit; the
     sign of E itself is fixed positive by convention.  The quadratic always
     has real roots: C = -(m^2 c^6 / R^2) l.l is never positive, so B^2 - 4C
-    is at least B^2, or NaN, which gives a NaN energy.
+    is at least B^2 and E^2 >= 0, unless an input is NaN, which gives a NaN
+    energy.  E = 0 is a massless particle at rest; with m != 0 it is an
+    E^2 that underflowed, and raises ArithmeticError.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     B, C = _quartic(m, c, R, p, q, cross(q, p))
     E2 = 0.5 * (-B + np.sqrt(B * B - 4.0 * C))
-    if (E2 <= 0).any():
+    if m != 0 and (E2 <= 0).any():
         raise ArithmeticError("no positive energy root; invalid inputs")
     return np.sqrt(E2)
 

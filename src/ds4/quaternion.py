@@ -2,10 +2,14 @@
 
 Quaternions are the scalar field of this package: group elements, algebra
 elements and slashed vectors are 2x2 matrices with quaternion entries.
-Multiplication is done directly on the scalar-vector components, and
-determinants are the Study determinant in closed form on the quaternionic
-blocks.  The scalar route runs on Python floats, since a numpy scalar makes
-every product after it slower; components are converted exactly where they
+The Hamilton product is written once, in _mul, and fused with a sum in
+_mul_add; both take 4-sequences whose components are Python floats or numpy
+arrays alike.  Quaternion.__mul__, QMat2.__matmul__, group.is_member,
+group.factor_blocks and batch.mul call them, so the scalar and the array
+routes run the same IEEE operations.  Determinants are the Study
+determinant in closed form on the quaternionic blocks.  The scalar route
+runs on Python floats, since a numpy scalar makes every product after it
+slower; components are converted exactly where they
 enter (ensure_unit, ensure_pure_unit, random_unit, random_unit_vector,
 gamma.slash, group.act_vector, group.decompose and the `ds4 decompose` input
 reader in cli) and where they leave the array bodies that also serve single
@@ -19,6 +23,7 @@ package computes in it.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -39,14 +44,7 @@ class Quaternion(NamedTuple):
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            s1, x1, y1, z1 = self
-            s2, x2, y2, z2 = other
-            return Quaternion(
-                s1 * s2 - x1 * x2 - y1 * y2 - z1 * z2,
-                s1 * x2 + s2 * x1 + y1 * z2 - z1 * y2,
-                s1 * y2 + s2 * y1 + z1 * x2 - x1 * z2,
-                s1 * z2 + s2 * z1 + x1 * y2 - y1 * x2,
-            )
+            return _quaternion(_mul(self, other))
         return self.scale(other)
 
     def __add__(self, other):
@@ -77,6 +75,35 @@ class Quaternion(NamedTuple):
 
     def max_abs(self) -> float:
         return max(abs(self.s), abs(self.x), abs(self.y), abs(self.z))
+
+
+#: Quaternion._make without its length check, for the 4-tuples of _mul and _mul_add.
+_quaternion = partial(tuple.__new__, Quaternion)
+
+
+def _mul(p, q) -> tuple:
+    """The Hamilton product p q of quaternions given as 4-sequences, as a
+    tuple of 4 components.  Components are Python floats or numpy arrays
+    alike (component-major: p[0] holds every scalar part), and the same IEEE
+    operations run in the same order on both."""
+    (s1, x1, y1, z1), (s2, x2, y2, z2) = p, q
+    return (s1 * s2 - x1 * x2 - y1 * y2 - z1 * z2,
+            s1 * x2 + s2 * x1 + y1 * z2 - z1 * y2,
+            s1 * y2 + s2 * y1 + z1 * x2 - x1 * z2,
+            s1 * z2 + s2 * z1 + x1 * y2 - y1 * x2)
+
+
+def _mul_add(p, q, r, t) -> tuple:
+    """p q + r t for quaternions given as 4-sequences, in one pass, with the
+    operations of _mul(p, q) + _mul(r, t) in their order."""
+    (s1, x1, y1, z1), (s2, x2, y2, z2) = p, q
+    (s3, x3, y3, z3), (s4, x4, y4, z4) = r, t
+    return (
+        (s1 * s2 - x1 * x2 - y1 * y2 - z1 * z2) + (s3 * s4 - x3 * x4 - y3 * y4 - z3 * z4),
+        (s1 * x2 + s2 * x1 + y1 * z2 - z1 * y2) + (s3 * x4 + s4 * x3 + y3 * z4 - z3 * y4),
+        (s1 * y2 + s2 * y1 + z1 * x2 - x1 * z2) + (s3 * y4 + s4 * y3 + z3 * x4 - x3 * z4),
+        (s1 * z2 + s2 * z1 + x1 * y2 - y1 * x2) + (s3 * z4 + s4 * z3 + x3 * y4 - y3 * x4),
+    )
 
 
 # Type alias used in signatures where unit norm is a precondition; unit-ness

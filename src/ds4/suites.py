@@ -27,7 +27,6 @@ from .group import (
     compose,
     decompose,
     is_member,
-    mirror_generator_signs,
     random_ds_point,
     random_member,
     reconstruct,
@@ -176,15 +175,18 @@ def suite_contraction(trials, rng):
 
 
 def suite_mirror(trials: int, rng):
-    """Exact mirror action of gamma^0 on random points, its involutivity,
-    and the generator sign table."""
-    g0 = group.GroupElement(gamma(0))
+    """Exact mirror action of gamma^0 on random points and its involutivity,
+    then gamma^0 G gamma^0 = sign G for each generator G of MIRROR_SIGNS,
+    budget 1e-12 (gamma^0 is its own inverse)."""
+    g0 = gamma(0)
     for _ in range(trials):
         x = random_ds_point(rng, R=1.0).x
         y = group.act_vector(g0, x)
         yield y - np.concatenate(([x[0]], -x[1:])), 0.0
         yield group.act_vector(g0, y) - x, 0.0
-    yield float(mirror_generator_signs() != MIRROR_SIGNS), 0.0
+    for label, sign in MIRROR_SIGNS.items():
+        G = algebra.generator(label).m
+        yield np.subtract(g0 @ G @ g0, G.scale(sign)), 1e-12
 
 
 #: suite name -> (runner, reported trial count of a run of t trials, default t).

@@ -78,8 +78,11 @@ def test_bracket_examples():
     assert (got.m - generator("Y3").m).max_norm() == 0.0
 
 
+_QZERO = QMat2(ZERO, ZERO, ZERO, ZERO)
+
+
 def _k_qmat(p, q):
-    return QMat2.zero() if p == q else k_generator(p, q).m
+    return _QZERO if p == q else k_generator(p, q).m
 
 
 def _k_so14(p, q):
@@ -91,7 +94,7 @@ def test_full_bracket_table_quaternionic():
     for i, (a, b) in enumerate(_PLANES):
         for (r, d) in _PLANES[i:]:
             lhs = bracket(k_generator(a, b), k_generator(r, d)).m
-            rhs = structure_rhs_oracle(a, b, r, d, _k_qmat, QMat2.zero())
+            rhs = structure_rhs_oracle(a, b, r, d, _k_qmat, _QZERO)
             worst = max(worst, (lhs - rhs).max_norm())
     assert worst < 1e-12
 
@@ -133,7 +136,7 @@ def test_coords_match_generator_expansion():
     rng = np.random.default_rng(53)
     c = rng.uniform(-1.0, 1.0, 10)
     elt = from_coords(c[0:3], c[3:6], c[6], c[7:10])
-    acc = QMat2.zero()
+    acc = _QZERO
     coeffs = {"X1": c[0], "X2": c[1], "X3": c[2], "Y1": c[3], "Y2": c[4],
               "Y3": c[5], "X0": c[6], "Z1": c[7], "Z2": c[8], "Z3": c[9]}
     for lab, coeff in coeffs.items():
@@ -199,7 +202,7 @@ def test_structure_rhs_calls_k_only_at_distinct_indices():
     k_so14 = _refusing_equal_indices(so14_matrix)
     for a, b in planes:
         for r, d in planes:
-            want = structure_rhs_oracle(a, b, r, d, _k_qmat, QMat2.zero())
+            want = structure_rhs_oracle(a, b, r, d, _k_qmat, _QZERO)
             assert np.array_equal(structure_rhs(a, b, r, d, k_qmat), want), (a, b, r, d)
             want = structure_rhs_oracle(a, b, r, d, _k_so14, np.zeros((5, 5), dtype=int))
             assert np.array_equal(structure_rhs(a, b, r, d, k_so14), want), (a, b, r, d)

@@ -92,6 +92,47 @@ def test_left_matrices_equal_the_swap_route(monkeypatch):
             assert _bitwise(product, batch.matmul(m, n))
 
 
+#: IEEE specials, subnormals, values whose products overflow, and normal values.
+_EDGE = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e150, -1e150, 1.5, -0.75)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes, NaN at the same places and the same bits elsewhere, signed
+    zeros included; a NaN's sign and payload are not compared."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and _bitwise(a[~nan], b[~nan]))
+
+
+def test_shared_products_agree_on_edge_values():
+    # quaternion._mul, _mul_add and group.factor_blocks run the same IEEE
+    # operations on Python floats and on component-major arrays, so they agree
+    # bit for bit on any input, as Quaternion.__mul__ and batch.mul do
+    rng = np.random.default_rng(414)
+    n = 512
+
+    def draw(*shape):  # edge values, and normal draws whose products round
+        return np.where(rng.random(shape) < 0.3, rng.normal(size=shape), rng.choice(_EDGE, size=shape))
+
+    p, q, r, t = draw(4, n, 4)
+    p[:64], q[:64] = rng.choice((0.0, -0.0, 5e-324, -2.5e-310), size=(2, 64, 4))  # signed underflow
+    w, v, u, (ch, sh, cb, sb) = draw(n, 4), draw(n, 4), draw(n, 3), draw(4, n)
+    with np.errstate(all="ignore"):  # inf - inf, 0 * inf and overflow, as on floats
+        prod = batch.mul(p, q)
+        mul_add = np.array(quaternion._mul_add(p.T, q.T, r.T, t.T)).T
+        fb = np.array(group.factor_blocks(w.T, v.T, u.T, ch, sh, cb, sb)).transpose(2, 0, 1)
+    for k in range(n):
+        pk, qk, rk, tk = p[k].tolist(), q[k].tolist(), r[k].tolist(), t[k].tolist()
+        assert _same_bits(Quaternion(*pk) * Quaternion(*qk), prod[k])
+        assert _same_bits(quaternion._mul_add(pk, qk, rk, tk), mul_add[k])
+        blocks = group.factor_blocks(w[k].tolist(), v[k].tolist(), u[k].tolist(),
+                                     float(ch[k]), float(sh[k]), float(cb[k]), float(sb[k]))
+        assert _same_bits(blocks, fb[k])
+    assert np.isnan(prod).any() and np.isinf(prod).any() and (np.signbit(prod) & (prod == 0.0)).any()
+    assert ((np.abs(prod) < 2.3e-308) & (prod != 0.0)).any()  # subnormal products
+
+
 def test_membership_defects_match_scalar():
     gs, G = _members(402)
     det, unit = batch.is_member(G)

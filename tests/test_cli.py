@@ -256,6 +256,12 @@ def test_a_nan_residual_fails_its_suite(monkeypatch):
         m.setattr(algebra, "slash_induced_matrix", lambda X: induced(X) + spot)
         report = run_suite("homomorphism")
     assert report.max_residual == float("inf") and not report.passed
+    with monkeypatch.context() as m:
+        generator = algebra.generator
+        m.setattr(algebra, "generator", lambda label: algebra.AlgebraElement(
+            _with_a_nan(generator(label).m)) if label == "X1" else generator(label))
+        report = run_suite("mirror", 2)
+    assert report.max_residual == float("inf") and not report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +610,43 @@ def test_contract_undefined_slope_spellings(capsys):
     assert rows[-1] == {"slope": None}
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out.splitlines()[-1] == "# slope=nan"
+
+
+def test_contract_massless_particle_at_rest(capsys):
+    # m = 0 and p = 0 make E^2 exactly 0: every row is (R, 0, 0) and no slope is defined
+    argv = ("contract", "--m", "0", "--p", "0,0,0", "--steps", "3")
+    code, out, err = run_cli(capsys, *argv)
+    lines = out.splitlines()
+    assert (code, err, lines[0], lines[-1]) == (0, "", "R,E,mass_shell_defect", "# slope=nan")
+    assert [line.split(",")[1:] for line in lines[1:-1]] == [["0.0", "0.0"]] * 3
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    rows = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    assert code == 0 and rows[-1] == {"slope": None}
+    assert [(r["E"], r["mass_shell_defect"]) for r in rows[:-1]] == [(0.0, 0.0)] * 3
+    # with m > 0, an energy that underflows to 0 is still no positive root
+    code, out, err = run_cli(capsys, "contract", "--m", "1e-200", "--p", "0,0,0", "--steps", "3")
+    assert (code, out) == (2, "") and "no positive energy root" in err
+
+
+def test_contract_overflow_message(capsys):
+    # a Python float's c**2 overflows here and raised OverflowError with errno text
+    for argv in (("--c", "1e200"), ("--m", "1e200", "--steps", "3")):
+        code, out, err = run_cli(capsys, "contract", *argv)
+        assert (code, out, err) == (2, "", "ds4 contract: the inputs are too large for float64\n")
+
+
+def test_huge_counts_exit_two(capsys, monkeypatch):
+    # numpy refuses an array that does not fit with MemoryError; no test asks for one
+    def refuse(*args, **kwargs):
+        raise MemoryError
+    with monkeypatch.context() as m:
+        m.setattr(batch, "random_unit", refuse)
+        code, out, err = run_cli(capsys, "orbit", "-n", "1000000000000")
+    assert (code, out, err) == (2, "", "ds4 orbit: 1000000000000 samples do not fit in memory\n")
+    with monkeypatch.context() as m:
+        m.setattr(np, "logspace", refuse)
+        code, out, err = run_cli(capsys, "contract", "--steps", "1000000000000")
+    assert (code, out, err) == (2, "", "ds4 contract: 1000000000000 steps do not fit in memory\n")
 
 
 def test_contract_determinism(capsys):

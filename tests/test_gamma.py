@@ -111,7 +111,7 @@ def test_unslash_examples():
     assert np.array_equal(unslash(slash([1.0, 2.0, 3.0, 4.0, 5.0])),
                           [1.0, 2.0, 3.0, 4.0, 5.0])
     assert np.array_equal(unslash(gamma(0)), [1.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(unslash(QMat2.zero()), np.zeros(5))
+    assert np.array_equal(unslash(QMat2(ZERO, ZERO, ZERO, ZERO)), np.zeros(5))
 
 
 def test_unslash_matches_trace_oracle():
@@ -168,7 +168,9 @@ def test_ds_point_validation():
     with pytest.raises(ValueError):
         DSPoint(np.zeros(5), -1.0)
     for x, R, why in (([np.nan] * 5, np.nan, "radius"), (p.x, np.nan, "radius"),
-                      ([np.nan, 0.0, 0.0, 0.0, 3.0], 3.0, "hyperboloid")):
+                      ([np.nan, 0.0, 0.0, 0.0, 3.0], 3.0, "hyperboloid"),
+                      (np.zeros(5), np.inf, "finite"), ([0.0, 0.0, 0.0, 0.0, 1e300], 1e300, "too large"),
+                      (np.zeros(5), np.float64(1e300), "too large")):
         with pytest.raises(ValueError, match=why):
             DSPoint(np.array(x), R)
     # tolerance is relative to R^2, so large radii accept the same

@@ -307,6 +307,15 @@ def test_physicalize_rest_state():
         physicalize(to_coadjoint_coords(base_element(1.0)), -1.0, c, R)
 
 
+@pytest.mark.parametrize("constants", [
+    (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+    (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf),
+])
+def test_physicalize_needs_finite_constants(constants):
+    with pytest.raises(ValueError, match="finite and positive"):
+        physicalize(to_coadjoint_coords(base_element(1.0)), *constants)
+
+
 def test_quartic_on_transported_states():
     rng = np.random.default_rng(69)
     for (m, c_light, R) in ((1.0, 1.0, 1.0), (1.0, 1.0, 10.0), (2.0, 3.0, 5.0)):
@@ -421,6 +430,12 @@ def test_sweep_needs_nonnegative_mass_and_positive_c(m, c):
 def test_sweep_massless_limit_is_on_shell():
     table = contraction_sweep(0.0, 2.0, (3, 0, 0), (0, 1, 0), [10.0, 100.0])
     assert np.array_equal(table[:, 1:], [[6.0, 0.0], [6.0, 0.0]])
+    # a massless particle at rest: E^2 is exactly 0, and the slope is undefined
+    table = contraction_sweep(0.0, 2.0, (0, 0, 0), (0, 1, 0), [10.0, 100.0])
+    assert np.array_equal(table, [[10.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
+    assert math.isnan(defect_slope(table))
+    with pytest.raises(ArithmeticError, match="no positive energy root"):
+        contraction_sweep(1e-200, 1.0, (0, 0, 0), (0, 1, 0), [10.0, 100.0])  # E^2 underflows
 
 
 # ---------------------------------------------------------------------------
