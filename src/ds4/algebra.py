@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gamma import ETA, QMat2, slash, unslash
+from .gamma import ETA, QMat2, _matmul, slash, unslash
 from .group import GroupElement, certified
 from .quaternion import E1, E2, E3, ONE, ZERO, Quaternion, _mul, _mul_add, _quaternion
 
@@ -276,20 +276,19 @@ def _exp_coefficients(sigma: float, rho: float) -> tuple[float, float, float, fl
 def _expm(m) -> QMat2:
     """exp of a quaternionic matrix m = (a, b, c, d), a QMat2 or four
     4-sequences, as c0 I + c1 N + s0 m + s1 m N on Python floats: the
-    products m^2 and m N are eight _mul_add calls and the coefficients come
+    products m^2 and m N are gamma._matmul calls and the coefficients come
     from _exp_coefficients.  ValueError if m has a NaN or infinite component
     or the result overflows."""
-    a, b, c, d = m
-    x = (*a, *b, *c, *d)
+    x = (*m[0], *m[1], *m[2], *m[3])
     if not all(map(math.isfinite, x)):
         raise ValueError(_NOT_FINITE)
-    na, nb, nc, nd = _mul_add(a, a, b, c), _mul_add(a, b, b, d), _mul_add(c, a, d, c), _mul_add(c, b, d, d)
+    na, nb, nc, nd = _matmul(m, m)
     sigma = 0.5 * (na[0] + nd[0])
     na, nd = (na[0] - sigma, *na[1:]), (nd[0] - sigma, *nd[1:])
     rho = 0.5 * _mul_add(na, na, nd, nd)[0] + _mul(nb, nc)[0]  # tr(N^2)/4
     c0, c1, s0, s1 = _exp_coefficients(sigma, rho)
-    xn = _mul_add(a, na, b, nc) + _mul_add(a, nb, b, nd) + _mul_add(c, na, d, nc) + _mul_add(c, nb, d, nd)
-    e = [c1 * n + s0 * y + s1 * z for n, y, z in zip((*na, *nb, *nc, *nd), x, xn)]
+    p, q, r, t = _matmul(m, (na, nb, nc, nd))
+    e = [c1 * n + s0 * y + s1 * z for n, y, z in zip((*na, *nb, *nc, *nd), x, (*p, *q, *r, *t))]
     e[0] += c0
     e[12] += c0
     if not all(map(math.isfinite, e)):

@@ -37,7 +37,6 @@ from .quaternion import UNIT_TOL, Quaternion, _mul
 CHUNK = 512
 
 _I4 = np.eye(4)
-_G0 = np.diag([1.0, -1.0])[..., None] * _I4[0]
 _ID = np.eye(2)[..., None] * _I4[0]
 #: _T[i] is the 4x4 matrix of left multiplication by the i-th basis unit.
 _T = np.array([[Quaternion(*e) * Quaternion(*f) for f in _I4] for e in _I4]).swapaxes(1, 2)
@@ -78,13 +77,9 @@ def norm2(q) -> np.ndarray:
     return (q * q).sum(-1)
 
 
-def dagger(m) -> np.ndarray:
-    return conj(m).swapaxes(-3, -2)
-
-
 def inverse(m) -> np.ndarray:
     """Closed form (conj a, -conj c; -conj b, conj d) (group.inverse)."""
-    return dagger(m) * np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
+    return conj(m).swapaxes(-3, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
 
 
 def unit(q) -> np.ndarray:
@@ -107,15 +102,15 @@ def random_unit(rng: np.random.Generator, n: int, dim: int = 4) -> np.ndarray:
 
 
 def is_member(m) -> tuple[np.ndarray, np.ndarray]:
-    """Study-determinant and pseudo-unitarity defects (group.is_member)."""
+    """Study-determinant and pseudo-unitarity defects (group.is_member), the
+    latter from inverse(m) m - I."""
     a, b, c, d = m[..., 0, 0, :], m[..., 0, 1, :], m[..., 1, 0, :], m[..., 1, 1, :]
     swap = (norm2(c) > norm2(a))[..., None]
     a, b, c, d = np.where(swap, c, a), np.where(swap, d, b), np.where(swap, a, c), np.where(swap, b, d)
     n = norm2(a)
     # a = 0 leaves c conj(a) b = 0, so any finite divisor gives det = 0
     det = n * norm2(d - mul(mul(c, conj(a)), b) * (1.0 / np.where(n == 0.0, 1.0, n))[..., None])
-    sandwich = matmul(dagger(m), m * np.array([[1.0], [-1.0]])[..., None])
-    return np.abs(det - 1.0), np.abs(sandwich - _G0).max(axis=(-3, -2, -1))
+    return np.abs(det - 1.0), np.abs(matmul(inverse(m), m) - _ID).max(axis=(-3, -2, -1))
 
 
 def certified(m) -> np.ndarray:

@@ -209,9 +209,8 @@ def _cmd_orbit(args) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             lines = _orbit_lines(orbits.sample_orbit(args.kappa, args.samples, p_max, seed), args.matrix)
-    except (ArithmeticError, ValueError) as err:
-        print(f"ds4 orbit: kappa or the momentum window is too large for float64: {err}",
-              file=sys.stderr)
+    except (ArithmeticError, ValueError):  # every one of them is a value that left float64
+        print("ds4 orbit: kappa or the momentum window is too large for float64", file=sys.stderr)
         return 2
     except MemoryError:
         print(f"ds4 orbit: {args.samples} samples do not fit in memory", file=sys.stderr)

@@ -69,10 +69,8 @@ class QMat2(NamedTuple):
     d: Quaternion
 
     def __matmul__(self, o: "QMat2") -> "QMat2":
-        a, b, c, d = self
-        oa, ob, oc, od = o
-        return QMat2(*map(_quaternion, (_mul_add(a, oa, b, oc), _mul_add(a, ob, b, od),
-                                        _mul_add(c, oa, d, oc), _mul_add(c, ob, d, od))))
+        """The block product self o (_matmul)."""
+        return QMat2(*map(_quaternion, _matmul(self, o)))
 
     def __add__(self, o):
         return QMat2(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
@@ -101,6 +99,15 @@ class QMat2(NamedTuple):
     @classmethod
     def identity(cls) -> "QMat2":
         return _QID
+
+
+def _matmul(m, n) -> tuple:
+    """Blocks of the product m n of 2x2 quaternionic matrices, each four
+    4-sequences of Python floats or component-major arrays, as in _mul."""
+    a, b, c, d = m
+    na, nb, nc, nd = n
+    return (_mul_add(a, na, b, nc), _mul_add(a, nb, b, nd),
+            _mul_add(c, na, d, nc), _mul_add(c, nb, d, nd))
 
 
 def embed_blocks(m) -> np.ndarray:
@@ -134,16 +141,17 @@ def anticommutator(alpha: int, beta: int) -> QMat2:
     return ga @ gb + gb @ ga
 
 
-def slash(x) -> QMat2:
-    """Map a 5-vector to x^alpha gamma_alpha.
+def _slash(x) -> tuple:
+    """Blocks (x0, -bx; conj(bx), -x0), bx = (x4, x1, x2, x3), of x^alpha
+    gamma_alpha as 4-tuples, for five floats x (ValueError at another length)."""
+    x0, x1, x2, x3, x4 = x
+    return ((x0, 0.0, 0.0, 0.0), (-x4, -x1, -x2, -x3),
+            (x4, -x1, -x2, -x3), (-x0, -0.0, -0.0, -0.0))
 
-    With the quaternion bx = (x4, x1, x2, x3) the result has blocks
-    (x0, -bx; conj(bx), -x0).
-    """
-    x0, x1, x2, x3, x4 = np.asarray(x, dtype=float).tolist()
-    bx = Quaternion(x4, x1, x2, x3)
-    t = Quaternion(x0, 0.0, 0.0, 0.0)
-    return QMat2(t, -bx, bx.conj(), -t)
+
+def slash(x) -> QMat2:
+    """Map a 5-vector to x^alpha gamma_alpha (_slash)."""
+    return QMat2(*map(_quaternion, _slash(np.asarray(x, dtype=float).tolist())))
 
 
 def _max_abs(v) -> float:

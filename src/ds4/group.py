@@ -15,14 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gamma import DSPoint, QMat2, _max_abs, gamma, unslash
+from .gamma import DSPoint, QMat2, _matmul, _max_abs, _slash, gamma, unslash
 from .quaternion import (
     E1,
     ZERO,
     Quaternion,
     UnitQuaternion,
     _mul,
-    _mul_add,
     _quaternion,
     ensure_pure_unit,
     ensure_unit,
@@ -77,21 +76,18 @@ def is_member(m, tol: float = MEMBER_TOL) -> MembershipReport:
     |a|^2 |d - c conj(a) b / |a|^2|^2 (Aslaksen, "Quaternionic determinants",
     1996), with the block rows swapped first when |c| > |a|, which leaves it
     unchanged; the unpivoted expansion would cancel like eps |m|^4.  The
-    product c conj(a) b in it is two quaternion._mul calls.  The defect of
-    dagger(m) gamma^0 m - gamma^0 is four _mul_add calls, the conjugations
-    and the signs of gamma^0 m = (a, b; -c, -d) folded into their arguments;
-    it is NaN if the sandwich holds a NaN.  Both residuals are bitwise those
-    of the QMat2 route, tests/oracles.py::is_member_via_qmat.
+    product c conj(a) b in it is two quaternion._mul calls.  The other
+    defect is the largest |component| of _inverse(m) m - I, which is gamma^0
+    (dagger(m) gamma^0 m - gamma^0): its bottom row is the sandwich's negated
+    term by term, so the defect keeps the sandwich's bits; NaN if it holds one.
     """
-    a, b, c, d = _qmat(m)
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a, b, c, d
-    ca, cb, nc = (a0, -a1, -a2, -a3), (b0, -b1, -b2, -b3), (-c0, -c1, -c2, -c3)
-    cc, cd, nd = (c0, -c1, -c2, -c3), (d0, -d1, -d2, -d3), (-d0, -d1, -d2, -d3)
-    s11, s12 = _mul_add(ca, a, cc, nc), _mul_add(ca, b, cc, nd)
-    s21, s22 = _mul_add(cb, a, cd, nc), _mul_add(cb, b, cd, nd)
-    unit_defect = float(_max_abs((s11[0] - 1.0, *s11[1:], *s12, *s21, s22[0] + 1.0, *s22[1:])))
+    m = _qmat(m)
+    t11, t12, t21, t22 = _matmul(_inverse(m), m)
+    unit_defect = float(_max_abs((t11[0] - 1.0, *t11[1:], *t12, *t21, t22[0] - 1.0, *t22[1:])))
+    a, b, c, d = m
     if c.norm2() > a.norm2():  # swap the block rows
-        (a0, a1, a2, a3), b, c, (d0, d1, d2, d3) = c, d, a, b
+        a, b, c, d = c, d, a, b
+    (a0, a1, a2, a3), (d0, d1, d2, d3) = a, d
     n, det = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3, 0.0
     if n != 0.0:  # e = d - k c conj(a) b
         k = 1.0 / n
@@ -115,31 +111,23 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     return GroupElement(_qmat(g1) @ _qmat(g2))
 
 
+def _inverse(m) -> tuple:
+    """Blocks (conj a, -conj c; -conj b, conj d) of the closed-form inverse
+    gamma^0 dagger(m) gamma^0, for m given as four 4-sequences, as 4-tuples."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    return ((a0, -a1, -a2, -a3), (-c0, c1, c2, c3), (-b0, b1, b2, b3), (d0, -d1, -d2, -d3))
+
+
 def inverse(g: GroupElement) -> GroupElement:
-    """Closed-form inverse gamma^0 dagger(g) gamma^0 = (conj a, -conj c;
-    -conj b, conj d), which pseudo-unitarity makes exact."""
-    a, b, c, d = _qmat(g)
-    return GroupElement(QMat2(a.conj(), -c.conj(), -b.conj(), d.conj()))
+    """Closed-form inverse (_inverse), which pseudo-unitarity makes exact."""
+    return GroupElement(QMat2(*map(_quaternion, _inverse(_qmat(g)))))
 
 
 def act_vector(g, x) -> np.ndarray:
-    """Action on a raw 5-vector: unslash(g slash(x) g^-1), with x converted to
-    floats once and the two products as eight _mul_add calls on float
-    4-tuples, the signs of slash(x) = (x0, -bx; conj(bx), -x0), bx = (x4, x1,
-    x2, x3), and of the closed-form inverse folded in.  The result is bitwise
-    that of g @ slash(x) @ inverse(g).m (tests/oracles.py::act_vector_via_qmat)."""
-    x0, x1, x2, x3, x4 = np.asarray(x, dtype=float).tolist()
-    a, b, c, d = _qmat(g)
-    t, nt = (x0, 0.0, 0.0, 0.0), (-x0, -0.0, -0.0, -0.0)
-    nbx, cbx = (-x4, -x1, -x2, -x3), (x4, -x1, -x2, -x3)
-    p, q = _mul_add(a, t, b, cbx), _mul_add(a, nbx, b, nt)
-    r, s = _mul_add(c, t, d, cbx), _mul_add(c, nbx, d, nt)
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a, b, c, d
-    # inverse(g) = (conj a, -conj c; -conj b, conj d)
-    ia, ib = (a0, -a1, -a2, -a3), (-c0, c1, c2, c3)
-    ic, id_ = (-b0, b1, b2, b3), (d0, -d1, -d2, -d3)
-    return unslash((_mul_add(p, ia, q, ic), _mul_add(p, ib, q, id_),
-                    _mul_add(r, ia, s, ic), _mul_add(r, ib, s, id_)))
+    """Action on a raw 5-vector: unslash(g slash(x) g^-1), by two _matmul
+    calls on the blocks of g, _slash(x) on x's floats and _inverse(g)."""
+    m = _qmat(g)
+    return unslash(_matmul(_matmul(m, _slash(np.asarray(x, dtype=float).tolist())), _inverse(m)))
 
 
 def act(g, p: DSPoint) -> DSPoint:

@@ -178,14 +178,22 @@ def physicalize(coords: CoadjointCoords, m: float, c: float, R: float) -> Physic
 
     The dual coordinates carry a = kappa p/(m c), d0 = kappa E/(m c^2)
     and d = kappa q/R; solving with kappa = m c^2 gives E = d0,
-    p = a/c and q = d R/(m c^2).  Angular momentum is l = q x p.
+    p = a/c and q = d R/(m c^2).  Angular momentum is l = q x p.  ValueError
+    unless m, c, R are finite and positive and kappa and the state finite.
     """
     if not (0.0 < m < math.inf and 0.0 < c < math.inf and 0.0 < R < math.inf):
         raise ValueError("mass, speed of light and radius must be finite and positive")
-    kappa = m * c**2
-    p = coords.a * (m * c) / kappa
-    q = coords.d * R / kappa
-    return PhysicalState(coords.d0, p, q, cross(q, p), m, c, R)
+    try:
+        kappa = m * c**2
+    except OverflowError:  # a Python float's c**2 raises it, with errno text
+        kappa = math.inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p = coords.a * (m * c) / kappa
+        q = coords.d * R / kappa
+        l = cross(q, p)
+    if not (kappa < math.inf and np.isfinite((p, q, l)).all() and np.isfinite(coords.d0).all()):
+        raise ValueError(f"kappa = m c^2 = {kappa!r} or the state it gives is not finite in float64")
+    return PhysicalState(coords.d0, p, q, l, m, c, R)
 
 
 def _quartic(m: float, c: float, R: float, p, q, l):

@@ -4,9 +4,10 @@ Quaternions are the scalar field of this package: group elements, algebra
 elements and slashed vectors are 2x2 matrices with quaternion entries.
 The Hamilton product is written once, in _mul, and fused with a sum in
 _mul_add; both take 4-sequences whose components are Python floats or numpy
-arrays alike.  Quaternion.__mul__, QMat2.__matmul__, group.is_member,
-group.factor_blocks and batch.mul call them, so the scalar and the array
-routes run the same IEEE operations.  Determinants are the Study
+arrays alike.  Quaternion.__mul__, gamma._matmul (the block product of
+QMat2 @, group.is_member, act_vector and algebra._expm), group.is_member's
+determinant, group.factor_blocks and batch.mul call them, so the scalar and
+the array routes run the same IEEE operations.  Determinants are the Study
 determinant in closed form on the quaternionic blocks.  The scalar route
 runs on Python floats, since a numpy scalar makes every product after it
 slower; components are converted exactly where they

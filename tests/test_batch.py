@@ -67,7 +67,6 @@ def test_products_and_inverse_match_scalar():
         assert np.array_equal(q, g.m.b * h.m.c)
     inv = batch.inverse(G)
     assert np.array_equal(inv, [_arr(group.inverse(g)) for g in gs])
-    assert np.array_equal(batch.dagger(G), [_arr(g.m.dagger()) for g in gs])
 
 
 def _bitwise(a, b) -> bool:
@@ -106,9 +105,9 @@ def _same_bits(a, b) -> bool:
 
 
 def test_shared_products_agree_on_edge_values():
-    # quaternion._mul, _mul_add and group.factor_blocks run the same IEEE
-    # operations on Python floats and on component-major arrays, so they agree
-    # bit for bit on any input, as Quaternion.__mul__ and batch.mul do
+    # quaternion._mul, _mul_add, gamma._matmul and group.factor_blocks run the
+    # same IEEE operations on Python floats and on component-major arrays, so
+    # they agree bit for bit on any input, as Quaternion.__mul__ and batch.mul do
     rng = np.random.default_rng(414)
     n = 512
 
@@ -118,14 +117,20 @@ def test_shared_products_agree_on_edge_values():
     p, q, r, t = draw(4, n, 4)
     p[:64], q[:64] = rng.choice((0.0, -0.0, 5e-324, -2.5e-310), size=(2, 64, 4))  # signed underflow
     w, v, u, (ch, sh, cb, sb) = draw(n, 4), draw(n, 4), draw(n, 3), draw(4, n)
+    o = draw(4, n, 4)  # the right factor of the block product (p, q; r, t) o
     with np.errstate(all="ignore"):  # inf - inf, 0 * inf and overflow, as on floats
         prod = batch.mul(p, q)
         mul_add = np.array(quaternion._mul_add(p.T, q.T, r.T, t.T)).T
+        matmul = np.array(gamma._matmul((p.T, q.T, r.T, t.T), o.swapaxes(1, 2))).transpose(2, 0, 1)
         fb = np.array(group.factor_blocks(w.T, v.T, u.T, ch, sh, cb, sb)).transpose(2, 0, 1)
     for k in range(n):
         pk, qk, rk, tk = p[k].tolist(), q[k].tolist(), r[k].tolist(), t[k].tolist()
         assert _same_bits(Quaternion(*pk) * Quaternion(*qk), prod[k])
         assert _same_bits(quaternion._mul_add(pk, qk, rk, tk), mul_add[k])
+        ok = o[:, k].tolist()
+        assert _same_bits(gamma._matmul((pk, qk, rk, tk), ok), matmul[k])
+        assert _same_bits(QMat2(*map(Quaternion._make, (pk, qk, rk, tk))) @ QMat2(*map(Quaternion._make, ok)),
+                          matmul[k])
         blocks = group.factor_blocks(w[k].tolist(), v[k].tolist(), u[k].tolist(),
                                      float(ch[k]), float(sh[k]), float(cb[k]), float(sb[k]))
         assert _same_bits(blocks, fb[k])

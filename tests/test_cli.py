@@ -635,6 +635,16 @@ def test_contract_overflow_message(capsys):
         assert (code, out, err) == (2, "", "ds4 contract: the inputs are too large for float64\n")
 
 
+def test_orbit_overflow_message(capsys):
+    # each line ended in internal text: a Python float's kappa**2 errno text,
+    # the shape defect of a NaN orbit matrix, and p_max = 5 kappa = inf
+    for argv in (("--kappa", "1e300", "--pmax", "1", "-n", "2"), ("--kappa", "1e154", "-n", "1"),
+                 ("--kappa", "1", "--pmax", "1e308", "-n", "2", "--seed", "3"),
+                 ("--kappa", "1e308", "-n", "1")):
+        code, out, err = run_cli(capsys, "orbit", *argv)
+        assert (code, out, err) == (2, "", "ds4 orbit: kappa or the momentum window is too large for float64\n")
+
+
 def test_huge_counts_exit_two(capsys, monkeypatch):
     # numpy refuses an array that does not fit with MemoryError; no test asks for one
     def refuse(*args, **kwargs):

@@ -1,6 +1,11 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ds4
 from ds4.gamma import (
     DSPoint,
     ETA,
@@ -178,3 +183,21 @@ def test_ds_point_validation():
     R = 1e6
     x = np.array([0.0, 0.0, 0.0, 0.0, R * (1.0 + 1e-12)])
     DSPoint(x, R)
+
+
+def test_only_matmul_expands_the_block_product():
+    # the 2x2 block product is written once, in gamma._matmul; the one other
+    # _mul_add call is tr(N^2)/4 in algebra._expm, a single entry of N^2
+    calls, lines, written = Counter(), [], 0
+    for path in Path(ds4.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        written += text.count("_mul_add(")
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_mul_add":
+                        calls[f"{path.stem}.{fn.name}"] += 1
+                        lines.append(text.splitlines()[node.lineno - 1])
+    assert calls == {"gamma._matmul": 4, "algebra._expm": 1}
+    assert sum("tr(N^2)/4" in line for line in lines) == 1
+    assert written == 6  # the five calls and the definition in ds4.quaternion

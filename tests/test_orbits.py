@@ -316,6 +316,16 @@ def test_physicalize_needs_finite_constants(constants):
         physicalize(to_coadjoint_coords(base_element(1.0)), *constants)
 
 
+@pytest.mark.filterwarnings("error")  # no numpy warning escapes either
+@pytest.mark.parametrize("constants", [(1.0, 1e200, 1.0), (1e300, 1e10, 1.0), (1e-300, 1e-10, 1.0)])
+def test_physicalize_needs_a_state_in_float64(constants):
+    # c**2 overflows a Python float; m c overflows to inf / inf; a subnormal
+    # kappa = m c^2 sends q = d R / kappa to inf
+    coords = to_coadjoint_coords(orbit_matrix((0.6, 0.8, 0.0, 0.0), (0.3, -0.4, 0.5), 1.0))
+    with pytest.raises(ValueError, match="not finite in float64"):
+        physicalize(coords, *constants)
+
+
 def test_quartic_on_transported_states():
     rng = np.random.default_rng(69)
     for (m, c_light, R) in ((1.0, 1.0, 1.0), (1.0, 1.0, 10.0), (2.0, 3.0, 5.0)):
