@@ -101,8 +101,8 @@ K_INDEX = {
 }
 _K_TABLE = {}
 for _lab, (_al, _be) in K_INDEX.items():
-    _K_TABLE[(_al, _be)] = (_lab, +1)
-    _K_TABLE[(_be, _al)] = (_lab, -1)
+    _K_TABLE[(_al, _be)] = _GENERATORS[_lab]
+    _K_TABLE[(_be, _al)] = AlgebraElement(-_GENERATORS[_lab].m)
 
 
 def generator(label: str) -> AlgebraElement:
@@ -113,21 +113,14 @@ def generator(label: str) -> AlgebraElement:
         raise ValueError(f"unknown generator label {label!r}") from None
 
 
-def k_label(alpha: int, beta: int) -> tuple[str, int]:
-    """Label and sign such that K_{alpha beta} = sign * generator(label)."""
+def k_generator(alpha: int, beta: int) -> AlgebraElement:
+    """Antisymmetric generator family K_{alpha beta} in the quaternionic rep."""
     if alpha == beta:
         raise ValueError("K indices must differ")
     try:
         return _K_TABLE[(alpha, beta)]
     except KeyError:
         raise ValueError(f"invalid K indices ({alpha}, {beta})") from None
-
-
-def k_generator(alpha: int, beta: int) -> AlgebraElement:
-    """Antisymmetric generator family K_{alpha beta} in the quaternionic rep."""
-    label, sign = k_label(alpha, beta)
-    g = generator(label)
-    return g if sign > 0 else AlgebraElement(-g.m)
 
 
 def bracket(X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
@@ -273,19 +266,26 @@ def _exp_coefficients(sigma: float, rho: float) -> tuple[float, float, float, fl
     return 0.5 * (ch1 + ch2), (ch1 - ch2) / (z1 - z2), 0.5 * (sc1 + sc2), (sc1 - sc2) / (z1 - z2)
 
 
+def _invariants(x2) -> tuple:
+    """(sigma, N, rho) with X^2 = sigma I + N and N^2 = rho I, from the blocks
+    of X^2 as four 4-sequences of Python floats or component-major arrays (as
+    in gamma._matmul); N as four blocks, and traces of the 4x4 embedding in
+    sigma = tr(X^2)/4 and rho = tr(N^2)/4."""
+    na, nb, nc, nd = x2
+    sigma = 0.5 * (na[0] + nd[0])
+    na, nd = (na[0] - sigma, *na[1:]), (nd[0] - sigma, *nd[1:])
+    return sigma, (na, nb, nc, nd), 0.5 * _mul_add(na, na, nd, nd)[0] + _mul(nb, nc)[0]  # tr(N^2)/4
+
+
 def _expm(m) -> QMat2:
     """exp of a quaternionic matrix m = (a, b, c, d), a QMat2 or four
-    4-sequences, as c0 I + c1 N + s0 m + s1 m N on Python floats: the
-    products m^2 and m N are gamma._matmul calls and the coefficients come
-    from _exp_coefficients.  ValueError if m has a NaN or infinite component
-    or the result overflows."""
+    4-sequences, as c0 I + c1 N + s0 m + s1 m N on Python floats, by
+    gamma._matmul, _invariants and _exp_coefficients.  ValueError if m has
+    a NaN or infinite component or the result overflows."""
     x = (*m[0], *m[1], *m[2], *m[3])
     if not all(map(math.isfinite, x)):
         raise ValueError(_NOT_FINITE)
-    na, nb, nc, nd = _matmul(m, m)
-    sigma = 0.5 * (na[0] + nd[0])
-    na, nd = (na[0] - sigma, *na[1:]), (nd[0] - sigma, *nd[1:])
-    rho = 0.5 * _mul_add(na, na, nd, nd)[0] + _mul(nb, nc)[0]  # tr(N^2)/4
+    sigma, (na, nb, nc, nd), rho = _invariants(_matmul(m, m))
     c0, c1, s0, s1 = _exp_coefficients(sigma, rho)
     p, q, r, t = _matmul(m, (na, nb, nc, nd))
     e = [c1 * n + s0 * y + s1 * z for n, y, z in zip((*na, *nb, *nc, *nd), x, (*p, *q, *r, *t))]

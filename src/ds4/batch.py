@@ -6,19 +6,20 @@ quaternionic matrix a (..., 2, 2, 4) array of blocks [[a, b], [c, d]].
 Matrix products run on the real 8x8 left-multiplication matrices of the
 blocks (left_matrices), which one product by a constant table writes in
 their final layout, so a call costs a few numpy calls whatever the number
-of elements and copies no matrix.  Quaternion products and reconstruct run
-the scalar route's own bodies, quaternion._mul and group.factor_blocks, on
-component-major arrays (the .T of a stack), so on equal inputs they give
-the scalar route's bits; reconstruct takes six quaternion products and no
-matrix product, on numpy's cosh, sinh and normalization.  The
-exponential is algebra.exp's closed form, with its two products by matmul;
-its coefficients take the branch most elements fall in over the arrays and
+of elements and copies no matrix.  The rest runs the scalar route's own
+bodies on component-major arrays (the components moved to the front axes),
+so on equal inputs it gives the scalar route's bits: quaternion products
+by quaternion._mul, reconstruct by group.factor_blocks (six quaternion
+products, on numpy's cosh, sinh and normalization), the Study determinant
+by group._study_det and the exponential's sigma, N and rho by
+algebra._invariants.  Its two matrix products are matmul's, and its
+coefficients take the branch most elements fall in over the arrays and
 the scalar route's function on the rest.  Each routine is the twin of the
-scalar one it names and uses its formula; the scalar one stays the route
-for single elements and the reference the tests hold this one to, and the
-two read one tolerance constant.  Every check of the scalar route runs on
-every element, and a failure raises the scalar route's exception.  The
-algebra shape check, the (a, j, d0, d) chart, the orbit matrix, the adjoint
+scalar one it names; the scalar one stays the route for single elements
+and the reference the tests hold this one to, and the two read one
+tolerance constant.  Every check of the scalar route runs on every
+element, and a failure raises the scalar route's exception.  The algebra
+shape check, the (a, j, d0, d) chart, the orbit matrix, the adjoint
 transport and the orbit residuals are not twinned: one body serves one
 element and a stack (algebra.shape_checked, algebra.to_coords, and
 orbits.orbit_matrix, adjoint and conservation_residuals, which use this module).
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _CONJ, _NOT_FINITE, _OVERFLOW, _SERIES_RADIUS
+from .algebra import _CONJ, _NOT_FINITE, _OVERFLOW, _SERIES_RADIUS, _invariants
 from .algebra import _exp_coefficients as _scalar_exp_coefficients
-from .group import MEMBER_TOL, MembershipReport, NonMemberError, factor_blocks
+from .group import MEMBER_TOL, MembershipReport, NonMemberError, _study_det, factor_blocks
 from .quaternion import UNIT_TOL, Quaternion, _mul
 
 #: Trials per array in a suite run; bounds the peak memory.
@@ -102,15 +103,11 @@ def random_unit(rng: np.random.Generator, n: int, dim: int = 4) -> np.ndarray:
 
 
 def is_member(m) -> tuple[np.ndarray, np.ndarray]:
-    """Study-determinant and pseudo-unitarity defects (group.is_member), the
-    latter from inverse(m) m - I."""
-    a, b, c, d = m[..., 0, 0, :], m[..., 0, 1, :], m[..., 1, 0, :], m[..., 1, 1, :]
-    swap = (norm2(c) > norm2(a))[..., None]
-    a, b, c, d = np.where(swap, c, a), np.where(swap, d, b), np.where(swap, a, c), np.where(swap, b, d)
-    n = norm2(a)
-    # a = 0 leaves c conj(a) b = 0, so any finite divisor gives det = 0
-    det = n * norm2(d - mul(mul(c, conj(a)), b) * (1.0 / np.where(n == 0.0, 1.0, n))[..., None])
-    return np.abs(det - 1.0), np.abs(matmul(inverse(m), m) - _ID).max(axis=(-3, -2, -1))
+    """Study-determinant and pseudo-unitarity defects (group.is_member), by
+    group._study_det with the block rows swapped where |c| > |a|, and inverse(m) m - I."""
+    swap = (norm2(m[..., 1, 0, :]) > norm2(m[..., 0, 0, :]))[..., None, None, None]
+    (a, b), (c, d) = np.moveaxis(np.where(swap, m[..., ::-1, :, :], m), (-3, -2, -1), (0, 1, 2))
+    return np.abs(_study_det(a, b, c, d) - 1.0), np.abs(matmul(inverse(m), m) - _ID).max(axis=(-3, -2, -1))
 
 
 def certified(m) -> np.ndarray:
@@ -165,14 +162,14 @@ def _exp_coefficients(sigma, rho) -> np.ndarray:
 
 def _expm(x) -> np.ndarray:
     """exp of (..., 2, 2, 4) quaternionic matrices (algebra._expm): the
-    products x^2 and x N by matmul, the coefficients by _exp_coefficients."""
+    products x^2 and x N by matmul, sigma, N and rho by algebra._invariants
+    on x^2's component-major blocks, the coefficients by _exp_coefficients."""
     if not np.isfinite(x).all():
         raise ValueError(_NOT_FINITE)
     with np.errstate(all="ignore"):  # the branches an element does not take, and overflow
-        n = matmul(x, x)
-        sigma = 0.5 * (n[..., 0, 0, 0] + n[..., 1, 1, 0])
-        n -= sigma[..., None, None, None] * _ID
-        rho = 0.5 * (n * n.swapaxes(-3, -2) * _CONJ).sum((-3, -2, -1))  # tr(N^2)/4 (algebra._expm)
+        (a, b), (c, d) = np.moveaxis(matmul(x, x), (-3, -2, -1), (0, 1, 2))
+        sigma, n, rho = _invariants((a, b, c, d))
+        n = np.moveaxis(np.reshape(n, (2, 2, 4) + sigma.shape), (0, 1, 2), (-3, -2, -1))
         c0, c1, s0, s1 = _exp_coefficients(sigma, rho)[..., None, None, None]
         e = c1 * n + s0 * x + s1 * matmul(x, n) + c0 * _ID
     if not np.isfinite(e).all():

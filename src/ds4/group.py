@@ -72,11 +72,8 @@ def is_member(m, tol: float = MEMBER_TOL) -> MembershipReport:
     """Certify the unimodular and pseudo-unitarity conditions in one pass
     over the 16 block floats; never raises, the report carries failure.
 
-    The Study determinant is the pivoted Schur complement form
-    |a|^2 |d - c conj(a) b / |a|^2|^2 (Aslaksen, "Quaternionic determinants",
-    1996), with the block rows swapped first when |c| > |a|, which leaves it
-    unchanged; the unpivoted expansion would cancel like eps |m|^4.  The
-    product c conj(a) b in it is two quaternion._mul calls.  The other
+    The Study determinant is _study_det on the blocks, with the block rows
+    swapped first when |c| > |a|, which leaves it unchanged.  The other
     defect is the largest |component| of _inverse(m) m - I, which is gamma^0
     (dagger(m) gamma^0 m - gamma^0): its bottom row is the sandwich's negated
     term by term, so the defect keeps the sandwich's bits; NaN if it holds one.
@@ -87,16 +84,22 @@ def is_member(m, tol: float = MEMBER_TOL) -> MembershipReport:
     a, b, c, d = m
     if c.norm2() > a.norm2():  # swap the block rows
         a, b, c, d = c, d, a, b
-    (a0, a1, a2, a3), (d0, d1, d2, d3) = a, d
-    n, det = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3, 0.0
-    if n != 0.0:  # e = d - k c conj(a) b
-        k = 1.0 / n
-        y0, y1, y2, y3 = _mul(_mul(c, (a0, -a1, -a2, -a3)), b)
-        e0, e1, e2, e3 = d0 - k * y0, d1 - k * y1, d2 - k * y2, d3 - k * y3
-        det = n * (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
-    det_defect = float(abs(det - 1.0))
+    det_defect = float(abs(_study_det(a, b, c, d) - 1.0))
     return MembershipReport(det_defect, unit_defect, tol,
                             bool(det_defect <= tol and unit_defect <= tol))
+
+
+def _study_det(a, b, c, d):
+    """The Study determinant |a|^2 |d - c conj(a) b / |a|^2|^2 (Aslaksen,
+    "Quaternionic determinants", 1996) of blocks pivoted to |a| >= |c|, as
+    the unpivoted expansion cancels like eps |m|^4; Python floats or
+    component-major arrays, as in _mul.  At a = 0 the divisor is 1: det = 0."""
+    (a0, a1, a2, a3), (d0, d1, d2, d3) = a, d
+    n = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+    k = 1.0 / (n + (n == 0.0))
+    y0, y1, y2, y3 = _mul(_mul(c, (a0, -a1, -a2, -a3)), b)
+    e0, e1, e2, e3 = d0 - k * y0, d1 - k * y1, d2 - k * y2, d3 - k * y3
+    return n * (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3)
 
 
 def certified(m, tol: float = MEMBER_TOL) -> GroupElement:

@@ -218,14 +218,14 @@ def positive_energy(m: float, c: float, p, q, R):
     sign of E itself is fixed positive by convention.  The quadratic always
     has real roots: C = -(m^2 c^6 / R^2) l.l is never positive, so B^2 - 4C
     is at least B^2 and E^2 >= 0, unless an input is NaN, which gives a NaN
-    energy.  E = 0 is a massless particle at rest; with m != 0 it is an
-    E^2 that underflowed, and raises ArithmeticError.
+    energy.  E^2 is exactly 0 for a massless particle at rest; anywhere else
+    an E^2 below float64's smallest normal has underflowed: ArithmeticError.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     B, C = _quartic(m, c, R, p, q, cross(q, p))
     E2 = 0.5 * (-B + np.sqrt(B * B - 4.0 * C))
-    if m != 0 and (E2 <= 0).any():
-        raise ArithmeticError("no positive energy root; invalid inputs")
+    if (m != 0 or p.any()) and (E2 < np.finfo(float).tiny).any():
+        raise ArithmeticError("no positive energy root: E^2 underflows float64")
     return np.sqrt(E2)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ds4
-from ds4 import algebra, batch, orbits
+from ds4 import algebra, batch, gamma, orbits
 from ds4.algebra import (
     GENERATOR_LABELS,
     K_INDEX,
@@ -307,6 +307,30 @@ def test_exp_lands_in_the_group():
     for _ in range(100):
         rep = is_member(exp(random_element(rng)), 1e-10)
         assert rep.passed
+
+
+def test_invariants_at_the_orbit_seeds():
+    # X^2 = sigma I + N, N^2 = rho I: (1, 0) on the scalar seed 2 X0, where
+    # X^2 = I, and (0.75, -1) on the spinning seed 2 X0 + Y3, where N = (0, e3; e3, 0)
+    x0, y3 = generator("X0").m.scale(2.0), generator("Y3").m
+    for X, want in ((x0, (1.0, 0.0)), (x0 + y3, (0.75, -1.0))):
+        sigma, _, rho = algebra._invariants(gamma._matmul(X, X))
+        assert (sigma, rho) == want
+
+
+def test_invariants_square_to_rho():
+    # With s = max(1, max |X^2| component), a block of N has norm at most 2 s.  A
+    # component of N^2, or rho, sums at most 12 products whose sizes add to at
+    # most 2 |N|^2 <= 8 s^2, so it is within 12 (EPS/2) 8 s^2 = 48 EPS s^2 of the
+    # exact value for the computed N; N's own rounding in X^2 - sigma I adds a few
+    # EPS s^2.  64 EPS s^2 bounds both; the worst seen over 2000 draws is 2.6 EPS s^2.
+    rng = np.random.default_rng(58)
+    for _ in range(200):
+        X = random_element(rng)
+        x2 = gamma._matmul(X.m, X.m)
+        sigma, N, rho = algebra._invariants(x2)
+        err = np.array(gamma._matmul(N, N)) - rho * np.array([ONE, ZERO, ZERO, ONE])
+        assert np.abs(err).max() <= 64 * np.finfo(float).eps * max(1.0, np.abs(x2).max()) ** 2
 
 
 def _scalar_expm(m) -> np.ndarray:

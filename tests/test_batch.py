@@ -15,9 +15,12 @@ check, the chart and the orbit residuals have one body too.  Here they run
 on stacks.
 """
 
+import ast
 import importlib
 import pkgutil
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ import ds4
 from ds4 import algebra, batch, gamma, group, orbits, quaternion, suites
 from ds4.gamma import QMat2
 from ds4.group import DecompositionFactors, NonMemberError
-from ds4.quaternion import Quaternion, random_unit, random_unit_vector
+from ds4.quaternion import ONE, ZERO, Quaternion, random_unit, random_unit_vector
 from oracles import adjoint_via_embedding, left_matrices_via_swap, orbit_coords_via_rotation
 
 EPS = np.finfo(float).eps
@@ -105,9 +108,10 @@ def _same_bits(a, b) -> bool:
 
 
 def test_shared_products_agree_on_edge_values():
-    # quaternion._mul, _mul_add, gamma._matmul and group.factor_blocks run the
-    # same IEEE operations on Python floats and on component-major arrays, so
-    # they agree bit for bit on any input, as Quaternion.__mul__ and batch.mul do
+    # quaternion._mul, _mul_add, gamma._matmul, group.factor_blocks, _study_det
+    # and algebra._invariants run the same IEEE operations on Python floats and
+    # on component-major arrays, so they agree bit for bit on any input, as
+    # Quaternion.__mul__ and batch.mul do
     rng = np.random.default_rng(414)
     n = 512
 
@@ -123,6 +127,9 @@ def test_shared_products_agree_on_edge_values():
         mul_add = np.array(quaternion._mul_add(p.T, q.T, r.T, t.T)).T
         matmul = np.array(gamma._matmul((p.T, q.T, r.T, t.T), o.swapaxes(1, 2))).transpose(2, 0, 1)
         fb = np.array(group.factor_blocks(w.T, v.T, u.T, ch, sh, cb, sb)).transpose(2, 0, 1)
+        det = group._study_det(p.T, q.T, r.T, t.T)  # (p, q; r, t) as the blocks, unpivoted
+        sigma, N, rho = algebra._invariants((p.T, q.T, r.T, t.T))  # ... and as those of X^2
+        N = np.array(N).transpose(2, 0, 1)
     for k in range(n):
         pk, qk, rk, tk = p[k].tolist(), q[k].tolist(), r[k].tolist(), t[k].tolist()
         assert _same_bits(Quaternion(*pk) * Quaternion(*qk), prod[k])
@@ -134,6 +141,9 @@ def test_shared_products_agree_on_edge_values():
         blocks = group.factor_blocks(w[k].tolist(), v[k].tolist(), u[k].tolist(),
                                      float(ch[k]), float(sh[k]), float(cb[k]), float(sb[k]))
         assert _same_bits(blocks, fb[k])
+        assert _same_bits(group._study_det(pk, qk, rk, tk), det[k])
+        sigma_k, N_k, rho_k = algebra._invariants((pk, qk, rk, tk))
+        assert _same_bits((sigma_k, rho_k), (sigma[k], rho[k])) and _same_bits(N_k, N[k])
     assert np.isnan(prod).any() and np.isinf(prod).any() and (np.signbit(prod) & (prod == 0.0)).any()
     assert ((np.abs(prod) < 2.3e-308) & (prod != 0.0)).any()  # subnormal products
 
@@ -143,10 +153,29 @@ def test_membership_defects_match_scalar():
     det, unit = batch.is_member(G)
     for g, d, u in zip(gs, det, unit):
         rep = group.is_member(g)
-        s = _scale(_arr(g))
-        assert abs(d - rep.det_defect) <= 256 * EPS * s**4
-        assert abs(u - rep.pseudo_unitarity_defect) <= 128 * EPS * s**2
+        assert _same_bits(d, rep.det_defect)  # both routes run group._study_det
+        assert abs(u - rep.pseudo_unitarity_defect) <= 128 * EPS * _scale(_arr(g)) ** 2
     assert batch.certified(G) is G
+    m = QMat2(ZERO, ONE, ZERO, ONE)  # a = c = 0: the determinant is 0 on both routes
+    assert group.is_member(m).det_defect == batch.is_member(_arr(m)[None])[0][0] == 1.0
+
+
+def test_each_invariant_has_one_body():
+    # sigma, N and rho of X^2 are written once, in algebra._invariants, and the
+    # Study determinant once, in group._study_det; each route's exp and
+    # membership check calls them, and nothing else does
+    calls = Counter()
+    for path in Path(ds4.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    name = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+                    if name in ("_invariants", "_study_det"):
+                        calls[f"{name} in {path.stem}.{fn.name}"] += 1
+        assert text.count("_mul(_mul(") == (path.name == "group.py"), path.name  # c conj(a) b
+    assert calls == {"_invariants in algebra._expm": 1, "_invariants in batch._expm": 1,
+                     "_study_det in group.is_member": 1, "_study_det in batch.is_member": 1}
 
 
 def test_reconstruct_matches_scalar():

@@ -626,6 +626,9 @@ def test_contract_massless_particle_at_rest(capsys):
     # with m > 0, an energy that underflows to 0 is still no positive root
     code, out, err = run_cli(capsys, "contract", "--m", "1e-200", "--p", "0,0,0", "--steps", "3")
     assert (code, out) == (2, "") and "no positive energy root" in err
+    # and so is a moving massless particle's, E = c|p| = 1e-300
+    code, out, err = run_cli(capsys, "contract", "--m", "0", "--c", "1e-300", "--p", "1,0,0")
+    assert (code, out) == (2, "") and "no positive energy root" in err
 
 
 def test_contract_overflow_message(capsys):

@@ -187,7 +187,7 @@ def test_ds_point_validation():
 
 def test_only_matmul_expands_the_block_product():
     # the 2x2 block product is written once, in gamma._matmul; the one other
-    # _mul_add call is tr(N^2)/4 in algebra._expm, a single entry of N^2
+    # _mul_add call is tr(N^2)/4 in algebra._invariants, a single entry of N^2
     calls, lines, written = Counter(), [], 0
     for path in Path(ds4.__file__).parent.glob("*.py"):
         text = path.read_text()
@@ -198,6 +198,6 @@ def test_only_matmul_expands_the_block_product():
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_mul_add":
                         calls[f"{path.stem}.{fn.name}"] += 1
                         lines.append(text.splitlines()[node.lineno - 1])
-    assert calls == {"gamma._matmul": 4, "algebra._expm": 1}
+    assert calls == {"gamma._matmul": 4, "algebra._invariants": 1}
     assert sum("tr(N^2)/4" in line for line in lines) == 1
     assert written == 6  # the five calls and the definition in ds4.quaternion

@@ -446,6 +446,11 @@ def test_sweep_massless_limit_is_on_shell():
     assert math.isnan(defect_slope(table))
     with pytest.raises(ArithmeticError, match="no positive energy root"):
         contraction_sweep(1e-200, 1.0, (0, 0, 0), (0, 1, 0), [10.0, 100.0])  # E^2 underflows
+    # a moving massless particle has E = c|p| > 0: an E^2 of 0 (c = 1e-300) or a
+    # subnormal one (c = 1e-160, E^2 = 1e-320) has lost its digits
+    for c in (1e-300, 1e-160):
+        with pytest.raises(ArithmeticError, match="no positive energy root"):
+            contraction_sweep(0.0, c, (1, 0, 0), (0, 1, 0), [10.0, 100.0])
 
 
 # ---------------------------------------------------------------------------
