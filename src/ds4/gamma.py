@@ -162,14 +162,19 @@ def _max_abs(v) -> float:
 
 
 def unslash(m: QMat2) -> np.ndarray:
-    """Invert the slash map by reading x off the blocks (a, b, c, d) of m, a
-    QMat2 or a tuple of four 4-tuples.
+    """Invert the slash map: x as a length-5 array (_unslash)."""
+    return np.array(_unslash(m))
+
+
+def _unslash(m) -> tuple:
+    """Read x off the blocks (a, b, c, d) of m, a QMat2 or a tuple of four
+    4-tuples, as five floats.
 
     slash(x) has blocks (x0, -bx; conj(bx), -x0), so x0 = (a.s - d.s)/2
     and bx = (conj(c) - b)/2.  One pass over the 16 block floats takes
     each component of slash(x) - m and rejects the matrix unless the
     largest is within SLASH_TOL * max(1, m.max_norm()); a NaN anywhere makes
-    that defect NaN, and it is rejected.
+    that defect NaN, and it is rejected (ValueError).
     """
     a, b, c, d = m
     v = (*a, *b, *c, *d)
@@ -180,4 +185,4 @@ def unslash(m: QMat2) -> np.ndarray:
                        x4 - c0, -x1 - c1, -x2 - c2, -x3 - c3, -x0 - d0, d1, d2, d3))
     if not defect <= SLASH_TOL * max(1.0, *map(abs, v)):
         raise ValueError(f"matrix is not in the slash image (defect {defect:.3e})")
-    return np.array([x0, x1, x2, x3, x4])
+    return x0, x1, x2, x3, x4

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gamma import DSPoint, QMat2, _matmul, _max_abs, _slash, gamma, unslash
+from .gamma import DSPoint, QMat2, _matmul, _max_abs, _slash, _unslash, gamma, unslash
 from .quaternion import (
     E1,
     ZERO,
@@ -31,7 +31,6 @@ from .quaternion import (
 )
 
 _SWAP = gamma(0) @ gamma(4)  # equals (0 1; 1 0)
-_ORIGIN1 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
 #: Default bound on both membership defects (batch.certified too).
 MEMBER_TOL = 1e-10
 
@@ -133,6 +132,24 @@ def act_vector(g, x) -> np.ndarray:
     return unslash(_matmul(_matmul(m, _slash(np.asarray(x, dtype=float).tolist())), _inverse(m)))
 
 
+def _act_origin(m) -> tuple:
+    """act_vector(m, e4), the image of the origin, as five floats, for m
+    given as four 4-sequences of finite floats.
+
+    With S = slash(e4) = (0, -1; 1, 0), m S is the signed permutation
+    (b, -a; d, -c), read off in place of the first product.  The read-off
+    holds for finite m only, as the product turns an inf into NaN.  Its
+    zeros are written +0, the sign the product gives them on group members;
+    on sparse +-0/+-1 matrices off the group a zero of the result can take
+    the other sign, so callers certify m first, as decompose does.  The
+    slash-image check of _unslash runs in full.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    ms = ((b0 + 0.0, b1 + 0.0, b2 + 0.0, b3 + 0.0), (0.0 - a0, 0.0 - a1, 0.0 - a2, 0.0 - a3),
+          (d0 + 0.0, d1 + 0.0, d2 + 0.0, d3 + 0.0), (0.0 - c0, 0.0 - c1, 0.0 - c2, 0.0 - c3))
+    return _unslash(_matmul(ms, _inverse(m)))
+
+
 def act(g, p: DSPoint) -> DSPoint:
     """Action on a hyperboloid point; the radius is preserved."""
     return DSPoint(act_vector(g, p.x), p.R)
@@ -195,12 +212,19 @@ def reconstruct(f: DecompositionFactors) -> GroupElement:
     return GroupElement(QMat2(*map(_quaternion, factor_blocks(w, v, u[1:], ch, sh, cb, sb))))
 
 
-def _lorentz_factor(m: QMat2, w: Quaternion, psi: float) -> QMat2:
-    """T_tt(-psi) T_st(conj(w)) m in closed form (decompose, step 2)."""
-    p, q, r, t = w.conj() * m.a, w.conj() * m.b, w * m.c, w * m.d
+def _lorentz_factor(m, w, psi: float) -> QMat2:
+    """T_tt(-psi) T_st(conj(w)) m in closed form (decompose, step 2) on
+    floats: p, q, r, t = conj(w) a, conj(w) b, w c, w d through _mul, for m
+    and w given as 4-sequences, then ch x - sh y per component."""
+    a, b, c, d = m
+    wc = (w[0], -w[1], -w[2], -w[3])
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = _mul(wc, a), _mul(wc, b)
+    (r0, r1, r2, r3), (t0, t1, t2, t3) = _mul(w, c), _mul(w, d)
     ch, sh = math.cosh(0.5 * psi), math.sinh(0.5 * psi)
-    return QMat2(p.scale(ch) - r.scale(sh), q.scale(ch) - t.scale(sh),
-                 r.scale(ch) - p.scale(sh), t.scale(ch) - q.scale(sh))
+    return QMat2(_quaternion((ch * p0 - sh * r0, ch * p1 - sh * r1, ch * p2 - sh * r2, ch * p3 - sh * r3)),
+                 _quaternion((ch * q0 - sh * t0, ch * q1 - sh * t1, ch * q2 - sh * t2, ch * q3 - sh * t3)),
+                 _quaternion((ch * r0 - sh * p0, ch * r1 - sh * p1, ch * r2 - sh * p2, ch * r3 - sh * p3)),
+                 _quaternion((ch * t0 - sh * q0, ch * t1 - sh * q1, ch * t2 - sh * q2, ch * t3 - sh * q3)))
 
 
 def decompose(g, member_tol: float = MEMBER_TOL) -> DecompositionFactors:
@@ -209,14 +233,15 @@ def decompose(g, member_tol: float = MEMBER_TOL) -> DecompositionFactors:
     The factorization is not unique; this routine fixes one canonical
     section.  Steps:
 
-    1. Move the origin: x = g . origin gives psi = asinh(x0) and a unit
-       quaternion z from the spatial part, with w the principal square
-       root of z (scalar part >= 0; z = -1 resolves to e1).
+    1. Move the origin: x = g . origin (_act_origin) gives psi = asinh(x0)
+       and a unit quaternion z from the spatial part, with w the principal
+       square root of z (scalar part >= 0; z = -1 resolves to e1).
     2. Peel the translations off: L = T_tt(-psi) T_st(conj(w)) g =
        (ch p - sh r, ch q - sh t; ch r - sh p, ch t - sh q), with ch, sh =
-       cosh, sinh(psi/2) and p, q, r, t = conj(w) a, conj(w) b, w c, w d,
-       must stabilize the origin and have the Lorentz block structure
-       a = d, b = -c; violations signal an implementation or conditioning fault.
+       cosh, sinh(psi/2) and p, q, r, t = conj(w) a, conj(w) b, w c, w d
+       (_lorentz_factor), must stabilize the origin and have the Lorentz
+       block structure a = d, b = -c; violations signal an implementation or
+       conditioning fault.
     3. Read the boost off the Lorentz factor: v = a/|a| and, since
        membership forces |a|^2 - |b|^2 = 1, sinh(phi/2) = |b|.  phi is
        recovered as 2 asinh(|b|), which stays fully conditioned at small
@@ -225,44 +250,50 @@ def decompose(g, member_tol: float = MEMBER_TOL) -> DecompositionFactors:
        round-off scalar part dropped; a vector part of norm <= 1e-12
        degenerates to phi = 0, u = e1.
 
+    Every step runs on the block floats, through quaternion._mul and
+    gamma._matmul, with no Quaternion or QMat2 arithmetic; Quaternion
+    objects only hold z, the blocks of L and the factors returned.
     Reconstructing the factors reproduces g to near round-off for any
     certified member.
     """
     gm = certified(g, member_tol).m
 
-    x0, x1, x2, x3, x4 = act_vector(gm, _ORIGIN1).tolist()
+    x0, x1, x2, x3, x4 = _act_origin(gm)
     psi = math.asinh(x0)
     ch = math.cosh(psi)
     z = ensure_unit(Quaternion(x4 / ch, x1 / ch, x2 / ch, x3 / ch))
     w = sqrt_unit(z)
 
     L = _lorentz_factor(gm, w, psi)
-    stab = np.abs(act_vector(L, _ORIGIN1) - _ORIGIN1).max()
-    structure = max((L.a - L.d).max_abs(), (L.b + L.c).max_abs())
+    x0, x1, x2, x3, x4 = _act_origin(L)
+    stab = _max_abs((x0, x1, x2, x3, x4 - 1.0))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = L
+    structure = _max_abs((a0 - d0, a1 - d1, a2 - d2, a3 - d3, b0 + c0, b1 + c1, b2 + c2, b3 + c3))
     if stab > 1e-9 or structure > 1e-9:
         raise RuntimeError(
             f"Lorentz factor fails the stabilizer check "
             f"(origin defect {stab:.3e}, block defect {structure:.3e})"
         )
 
-    na = L.a.norm()
+    na = math.hypot(a0, a1, a2, a3)
     if na < 1.0 - 1e-12:
         raise RuntimeError(f"|a| = {na!r} below 1 beyond clamp tolerance")
-    v = L.a.scale(1.0 / na)
-    u_raw = v.conj() * L.b
+    k = 1.0 / na
+    v0, v1, v2, v3 = k * a0, k * a1, k * a2, k * a3
+    us, ux, uy, uz = _mul((v0, -v1, -v2, -v3), L.b)
     # The scalar part is membership round-off at matrix scale; checking
     # it after the 1/|b| amplification would misfire for tiny boosts.
-    if abs(u_raw.s) > 1e-8 * max(1.0, L.max_norm()):
-        raise RuntimeError(f"boost direction has scalar part {u_raw.s!r}")
+    if abs(us) > 1e-8 * max(1.0, _max_abs((*L.a, *L.b, *L.c, *L.d))):
+        raise RuntimeError(f"boost direction has scalar part {us!r}")
     # Branch on the vector part alone: |b| also counts the scalar round-off,
     # which can pass 1e-12 in a certified member whose boost vanishes.
-    nv = math.hypot(u_raw.x, u_raw.y, u_raw.z)
+    nv = math.hypot(ux, uy, uz)
     if nv > 1e-12:
-        phi = 2.0 * math.asinh(L.b.norm())
-        u = ensure_pure_unit(Quaternion(0.0, u_raw.x / nv, u_raw.y / nv, u_raw.z / nv))
+        phi = 2.0 * math.asinh(math.hypot(b0, b1, b2, b3))
+        u = ensure_pure_unit(Quaternion(0.0, ux / nv, uy / nv, uz / nv))
     else:
         phi, u = 0.0, E1
-    return DecompositionFactors(w, psi, v, phi, u)
+    return DecompositionFactors(w, psi, Quaternion(v0, v1, v2, v3), phi, u)
 
 
 def involution(g) -> QMat2:

@@ -5,17 +5,19 @@ elements and slashed vectors are 2x2 matrices with quaternion entries.
 The Hamilton product is written once, in _mul, and fused with a sum in
 _mul_add; both take 4-sequences whose components are Python floats or numpy
 arrays alike.  Quaternion.__mul__, gamma._matmul (the block product of
-QMat2 @, group.is_member, act_vector and algebra._expm), algebra._invariants,
-group._study_det, group.factor_blocks and batch.mul call them, so the scalar
-and the array routes run the same IEEE operations.  Determinants are the Study
+QMat2 @, group.is_member, act_vector, group._act_origin and algebra._expm),
+algebra._invariants, group._study_det, group.factor_blocks, group.decompose
+with its _lorentz_factor, and batch.mul call them, so the scalar and the
+array routes run the same IEEE operations.  Determinants are the Study
 determinant in closed form on the quaternionic blocks.  The scalar route
 runs on Python floats, since a numpy scalar makes every product after it
 slower; components are converted exactly where they
 enter (ensure_unit, ensure_pure_unit, random_unit, random_unit_vector,
-gamma.slash, group.act_vector, group.decompose and the `ds4 decompose` input
-reader in cli) and where they leave the array bodies that also serve single
-elements (algebra.to_coords, orbits.orbit_matrix, adjoint and
-conservation_residuals).
+gamma.slash, group.act_vector and the `ds4 decompose` input reader in cli)
+and where they leave the array bodies that also serve single elements
+(algebra.to_coords, orbits.orbit_matrix, adjoint and conservation_residuals).
+group.decompose takes x = g . origin as floats from gamma._unslash, which
+gamma.unslash wraps as an array.
 The 2x2 complex embedding (1 -> identity, e_k -> (-1)^(k+1) i sigma_k)
 is kept for the independent cross-checks in the test suite; no route of the
 package computes in it.

@@ -17,14 +17,16 @@ from ds4 import orbits
 from ds4.batch import _T
 from ds4.gamma import ETA, QMat2, embed_blocks, gamma, slash
 from ds4.group import (
+    DecompositionFactors,
     MembershipReport,
+    NonMemberError,
     inverse,
     t_boost,
     t_space_rotation,
     t_space_translation,
     t_time_translation,
 )
-from ds4.quaternion import _BASIS, Quaternion, embed
+from ds4.quaternion import _BASIS, E1, Quaternion, embed, ensure_pure_unit, ensure_unit, sqrt_unit
 
 
 def extract(m, tol: float = 1e-10) -> np.ndarray:
@@ -170,6 +172,45 @@ def reconstruct_via_products(f) -> QMat2:
 def lorentz_factor_via_products(m: QMat2, w: Quaternion, psi: float) -> QMat2:
     """T_tt(-psi) T_st(conj(w)) m as two generic QMat2 products."""
     return t_time_translation(-psi).m @ t_space_translation(w.conj()).m @ m
+
+
+def decompose_via_qmat(g, tol: float = 1e-10) -> DecompositionFactors:
+    """group.decompose as Quaternion and QMat2 expressions: certification by
+    is_member_via_qmat, g . origin by act_vector_via_qmat, the Lorentz factor
+    by Quaternion products, scale and subtraction, and the stabilizer check
+    on numpy arrays."""
+    m = g.m if hasattr(g, "m") else g
+    report = is_member_via_qmat(m, tol)
+    if not report.passed:
+        raise NonMemberError(report)
+    e4 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    x0, x1, x2, x3, x4 = act_vector_via_qmat(m, e4).tolist()
+    psi = math.asinh(x0)
+    ch = math.cosh(psi)
+    w = sqrt_unit(ensure_unit(Quaternion(x4 / ch, x1 / ch, x2 / ch, x3 / ch)))
+    p, q, r, t = w.conj() * m.a, w.conj() * m.b, w * m.c, w * m.d
+    ch, sh = math.cosh(0.5 * psi), math.sinh(0.5 * psi)
+    L = QMat2(p.scale(ch) - r.scale(sh), q.scale(ch) - t.scale(sh),
+              r.scale(ch) - p.scale(sh), t.scale(ch) - q.scale(sh))
+    stab = np.abs(act_vector_via_qmat(L, e4) - e4).max()
+    structure = max((L.a - L.d).max_abs(), (L.b + L.c).max_abs())
+    if stab > 1e-9 or structure > 1e-9:
+        raise RuntimeError(f"Lorentz factor fails the stabilizer check "
+                           f"(origin defect {stab:.3e}, block defect {structure:.3e})")
+    na = L.a.norm()
+    if na < 1.0 - 1e-12:
+        raise RuntimeError(f"|a| = {na!r} below 1 beyond clamp tolerance")
+    v = L.a.scale(1.0 / na)
+    u_raw = v.conj() * L.b
+    if abs(u_raw.s) > 1e-8 * max(1.0, L.max_norm()):
+        raise RuntimeError(f"boost direction has scalar part {u_raw.s!r}")
+    nv = math.hypot(u_raw.x, u_raw.y, u_raw.z)
+    if nv > 1e-12:
+        phi = 2.0 * math.asinh(L.b.norm())
+        u = ensure_pure_unit(Quaternion(0.0, u_raw.x / nv, u_raw.y / nv, u_raw.z / nv))
+    else:
+        phi, u = 0.0, E1
+    return DecompositionFactors(w, psi, v, phi, u)
 
 
 def element_json(g) -> dict:

@@ -631,6 +631,15 @@ def test_contract_massless_particle_at_rest(capsys):
     assert (code, out) == (2, "") and "no positive energy root" in err
 
 
+def test_contract_energy_where_B_squared_underflows(capsys):
+    # B = -c^2 |p|^2 = -1e-300 squares to 0; E = c|p| = 1e-150 on the shell at every R
+    code, out, err = run_cli(capsys, "contract", "--m", "0", "--c", "1e-150", "--p", "1,0,0",
+                             "--steps", "3")
+    lines = out.splitlines()
+    assert (code, err, lines[0], lines[-1]) == (0, "", "R,E,mass_shell_defect", "# slope=nan")
+    assert [line.split(",")[1:] for line in lines[1:-1]] == [["1e-150", "0.0"]] * 3
+
+
 def test_contract_overflow_message(capsys):
     # a Python float's c**2 overflows here and raised OverflowError with errno text
     for argv in (("--c", "1e200"), ("--m", "1e200", "--steps", "3")):

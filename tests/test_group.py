@@ -12,6 +12,7 @@ from ds4.group import (
     DecompositionFactors,
     GroupElement,
     NonMemberError,
+    _act_origin,
     _lorentz_factor,
     act,
     act_vector,
@@ -44,6 +45,7 @@ from ds4.quaternion import (
 from oracles import (
     act_vector_via_qmat,
     act_via_embedding,
+    decompose_via_qmat,
     det_via_embedding,
     inverse_via_embedding,
     is_member_via_qmat,
@@ -360,6 +362,31 @@ def _bitwise_members(rng, n):
                  QMat2.identity(), t_time_translation(1.3).m, t_boost(2.0, E2).m]
 
 
+#: Sparse factor parameters: units and directions along the axes, signed
+#: zeros among the rapidities, so that products hold many exact zeros.
+_SPARSE_UNITS = (ONE, -ONE, E1, -E1, E2, -E2, E3, -E3, Quaternion(0.6, 0.8, 0.0, 0.0))
+_SPARSE_DIRECTIONS = (E1, E2, E3, -E1, Quaternion(0.0, 0.0, 0.6, -0.8))
+
+
+def _sparse_factor_products(rng, n):
+    """n products of one to four sparse factor matrices in random order,
+    each with its negative, whose zero blocks are -0."""
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    makers = (lambda: t_space_translation(pick(_SPARSE_UNITS)),
+              lambda: t_time_translation(pick((0.0, -0.0, 1.3, -1.3, 2.0))),
+              lambda: t_space_rotation(pick(_SPARSE_UNITS)),
+              lambda: t_boost(pick((0.0, 0.7, 2.0)), pick(_SPARSE_DIRECTIONS)))
+    out = []
+    for _ in range(n):
+        g = GroupElement.identity()
+        for k in rng.integers(0, 4, rng.integers(1, 5)):
+            g = compose(g, makers[k]())
+        out += [g.m, -g.m]
+    return out
+
+
 def test_one_pass_routes_are_bitwise_the_qmat_routes():
     rng = np.random.default_rng(53)
     members, general = _bitwise_members(rng, 200), _general_matrices(rng, 100)
@@ -376,17 +403,60 @@ def test_one_pass_routes_are_bitwise_the_qmat_routes():
     assert sum(isinstance(r, str) for r in raised) >= 100
 
 
-def test_decompose_is_bitwise_the_qmat_routes(monkeypatch):
-    members = _bitwise_members(np.random.default_rng(54), 100)
+def _factors(decompose_fn):
+    return lambda g: [*(f := decompose_fn(g)).w, f.psi, *f.v, f.phi, *f.u]
 
-    def factors():  # T_tt(15) T_bt(1, e2) fails certification at 1e-10, so its message
-        return [_outcome(lambda g: [*(f := decompose(g)).w, f.psi, *f.v, f.phi, *f.u], m)
-                for m in members]
 
-    want = factors()
-    monkeypatch.setattr(group, "is_member", is_member_via_qmat)
-    monkeypatch.setattr(group, "act_vector", act_vector_via_qmat)
-    assert factors() == want
+def test_decompose_is_bitwise_the_qmat_routes():
+    # T_tt(15) T_bt(1, e2) fails certification at 1e-10, so its message is compared
+    rng = np.random.default_rng(54)
+    sparse = _sparse_factor_products(rng, 150)
+    for m in _bitwise_members(rng, 100) + sparse:
+        assert _outcome(_factors(decompose), m) == _outcome(_factors(decompose_via_qmat), m)
+    # the sparse products reach zero rapidities and -0 components of w
+    fs = [decompose(m) for m in sparse]
+    assert any(f.psi == 0.0 for f in fs)
+    assert any(c == 0.0 and math.copysign(1.0, c) < 0.0 for f in fs for c in f.w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(["factors", "exp"]),
+       psi=st.floats(-6.0, 6.0), phi=st.floats(-6.0, 6.0))
+def test_decompose_property_is_bitwise_the_qmat_route(seed, method, psi, phi):
+    rng = np.random.default_rng(seed)
+    if method == "exp":
+        g = random_member(rng, "exp")
+    else:
+        g = reconstruct(DecompositionFactors(random_unit(rng), psi, random_unit(rng), phi,
+                                             random_unit_vector(rng)))
+    assert _outcome(_factors(decompose), g) == _outcome(_factors(decompose_via_qmat), g)
+
+
+def test_origin_read_off_is_bitwise_act_vector():
+    # m slash(e4) = (b, -a; d, -c) is read off with +0 zeros, which on members
+    # keeps the product's bits, signed zeros included
+    rng = np.random.default_rng(57)
+    members = ([random_member(rng, "exp" if i % 2 else "factors").m for i in range(200)]
+               + _bitwise_members(rng, 100) + _sparse_factor_products(rng, 300))
+    for m in members:
+        assert (_outcome(lambda m: np.array(_act_origin(m)), m)
+                == _outcome(act_vector, m, origin(1.0).x))
+
+
+def test_decompose_runs_on_floats(monkeypatch):
+    # decompose builds Quaternion objects only for the factors it returns:
+    # no Quaternion or QMat2 arithmetic runs on its way
+    rng = np.random.default_rng(58)
+    members = [_mixed(rng, i) for i in range(20)] + _sparse_factor_products(rng, 20)
+    want = [decompose(g) for g in members]
+
+    def refuse(*args):
+        raise AssertionError("decompose ran Quaternion or QMat2 arithmetic")
+    for name in ("__mul__", "__rmul__", "scale", "__add__", "__sub__", "__neg__", "conj", "max_abs"):
+        monkeypatch.setattr(Quaternion, name, refuse)
+    for name in ("__matmul__", "__add__", "__sub__", "__neg__", "scale", "max_norm"):
+        monkeypatch.setattr(QMat2, name, refuse)
+    assert [decompose(g) for g in members] == want
 
 
 @settings(max_examples=100, deadline=None)

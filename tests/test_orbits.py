@@ -453,6 +453,19 @@ def test_sweep_massless_limit_is_on_shell():
             contraction_sweep(0.0, c, (1, 0, 0), (0, 1, 0), [10.0, 100.0])
 
 
+def test_sweep_keeps_its_digits_where_B_squared_underflows():
+    # |B| below about 1.5e-154 squares to a subnormal or to 0, while E^2 = -B
+    # (here C = 0, as l = q x p = 0) is still normal: E = c|p| = 1e-150 ...
+    table = contraction_sweep(0.0, 1e-150, (1, 0, 0), (0, 1, 0), [10.0, 100.0])
+    assert np.array_equal(table[:, 1:], [[1e-150, 0.0], [1e-150, 0.0]])
+    # ... and at rest E = m sqrt(1 - 1/R^2) (q.q = 1), defect -(m/R)^2
+    m = 1e-82
+    table = contraction_sweep(m, 1.0, (0, 0, 0), (0, 1, 0), [10.0, 100.0])
+    for R, E, defect in table:
+        assert abs(E - m * math.sqrt(1.0 - 1.0 / R**2)) <= 4 * EPS * E
+        assert abs(defect + (m / R) ** 2) <= 8 * EPS * m * m
+
+
 # ---------------------------------------------------------------------------
 # sampling and the massless family
 
