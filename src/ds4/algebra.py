@@ -217,6 +217,16 @@ def _ch_sc(w: float) -> tuple[float, float]:
     return math.cos(y), math.sin(y) / y
 
 
+def _half_angle(chb, scb, chs, scs, big, small) -> tuple:
+    """(c0, c1, s0, s1) by the half-angle forms (McCurdy, Ng and Parlett,
+    Math. Comp. 43, 1984) at the roots big, small of w^2 - sigma w + rho/4,
+    the larger and the smaller in size, from ch w = cosh sqrt w and sc w =
+    shc sqrt w at each (chb = ch(big), ...); s0 is taken on the smaller
+    root.  Python floats or numpy arrays alike, as in _invariants."""
+    s1 = (chb * scs - scb * chs) / (2.0 * (big - small))
+    return chb * chs, 0.5 * scb * scs, scb * chs - 2.0 * small * s1, s1
+
+
 def _exp_coefficients(sigma: float, rho: float) -> tuple[float, float, float, float]:
     """(c0, c1, s0, s1) with cosh sqrt Z = c0 + c1 N and shc sqrt Z = s0 + s1 N
     at Z = sigma + N, N^2 = rho, by the first of three branches that applies:
@@ -225,14 +235,11 @@ def _exp_coefficients(sigma: float, rho: float) -> tuple[float, float, float, fl
       divided differences below lose digits at small roots, harmless while N
       is as small as they are, but a null rotation plus a small rotation
       commuting with it has roots meeting near 0 and a large N;
-    - u - v >= |sigma|/2 for the roots u >= v of w^2 - sigma w + rho/4, real
-      as the discriminant is c4, so u - v = sqrt(c4): the half-angle forms
-      (McCurdy, Ng and Parlett, Math. Comp. 43, 1984) c0 = ch(u) ch(v), c1 =
-      sc(u) sc(v)/2, s1 = (ch(u) sc(v) - sc(u) ch(v)) / (2 (u - v)) and s0 =
-      sc(u) ch(v) - 2 v s1 = ch(u) sc(v) - 2 u s1, on the smaller of |u|, |v|,
-      with ch w = cosh sqrt w and sc w = shc sqrt w.  The smaller in size
-      is taken as rho/4 over the larger, so equal roots s_1 = s_2 (the
-      generators, the scalar orbits) make it an exact 0;
+    - |u - v| >= |sigma|/2 for the roots u, v of w^2 - sigma w + rho/4, real
+      as the discriminant is c4, so |u - v| = sqrt(c4): _half_angle, the
+      larger root in size taken with the sign of sigma and the smaller as
+      rho/4 over it, so equal roots s_1 = s_2 (the generators, the scalar
+      orbits) make it an exact 0;
     - else s_1, s_2 are real and at least 0.9 max |s_i| apart: f0, f1 taken
       at them directly, the smaller root as c4 over the larger.
 
@@ -247,16 +254,9 @@ def _exp_coefficients(sigma: float, rho: float) -> tuple[float, float, float, fl
     try:
         c4 = sigma * sigma - rho
         if 4.0 * c4 >= sigma * sigma:
-            if sigma >= 0.0:
-                u = 0.5 * (sigma + math.sqrt(c4))
-                v = 0.25 * rho / u
-            else:
-                v = 0.5 * (sigma - math.sqrt(c4))
-                u = 0.25 * rho / v
-            (chu, scu), (chv, scv) = _ch_sc(u), _ch_sc(v)
-            s1 = (chu * scv - scu * chv) / (2.0 * (u - v))
-            s0 = scu * chv - 2.0 * v * s1 if sigma >= 0.0 else chu * scv - 2.0 * u * s1
-            return chu * chv, 0.5 * scu * scv, s0, s1
+            big = 0.5 * (sigma + math.sqrt(c4) if sigma >= 0.0 else sigma - math.sqrt(c4))
+            small = 0.25 * rho / big
+            return _half_angle(*_ch_sc(big), *_ch_sc(small), big, small)
         r = math.sqrt(rho)
         z1 = sigma + r if sigma >= 0.0 else sigma - r
         z2 = max(c4, 0.0) / z1

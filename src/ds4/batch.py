@@ -6,30 +6,23 @@ quaternionic matrix a (..., 2, 2, 4) array of blocks [[a, b], [c, d]].
 Matrix products run on the real 8x8 left-multiplication matrices of the
 blocks (left_matrices), which one product by a constant table writes in
 their final layout, so a call costs a few numpy calls whatever the number
-of elements and copies no matrix.  The rest runs the scalar route's own
+of elements and copies no matrix.  The rest calls the scalar route's own
 bodies on component-major arrays (the components moved to the front axes),
-so on equal inputs it gives the scalar route's bits: quaternion products
-by quaternion._mul, reconstruct by group.factor_blocks (six quaternion
-products, on numpy's cosh, sinh and normalization), the Study determinant
-by group._study_det and the exponential's sigma, N and rho by
-algebra._invariants.  Its two matrix products are matmul's, and its
-coefficients take the branch most elements fall in over the arrays and
-the scalar route's function on the rest.  Each routine is the twin of the
-scalar one it names; the scalar one stays the route for single elements
-and the reference the tests hold this one to, and the two read one
-tolerance constant.  Every check of the scalar route runs on every
-element, and a failure raises the scalar route's exception.  The algebra
-shape check, the (a, j, d0, d) chart, the orbit matrix, the adjoint
-transport and the orbit residuals are not twinned: one body serves one
-element and a stack (algebra.shape_checked, algebra.to_coords, and
-orbits.orbit_matrix, adjoint and conservation_residuals, which use this module).
+so it runs the scalar route's IEEE operations; numpy's cosh, sinh and
+normalization may round differently from math's.  Each routine is the twin
+of the scalar one it names; the scalar one stays the route for single
+elements and the reference the tests hold this one to, and the two read one
+tolerance constant.  Every check of the scalar route runs on every element,
+and a failure raises the scalar route's exception.  The algebra shape
+check, the chart, the orbit matrix, the adjoint transport and the orbit
+residuals are not twinned: one body serves one element and a stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _CONJ, _NOT_FINITE, _OVERFLOW, _SERIES_RADIUS, _invariants
+from .algebra import _CONJ, _NOT_FINITE, _OVERFLOW, _SERIES_RADIUS, _half_angle, _invariants
 from .algebra import _exp_coefficients as _scalar_exp_coefficients
 from .group import MEMBER_TOL, MembershipReport, NonMemberError, _study_det, factor_blocks
 from .quaternion import UNIT_TOL, Quaternion, _mul
@@ -141,19 +134,17 @@ def from_coords(a, j, d0, d) -> np.ndarray:
 
 def _exp_coefficients(sigma, rho) -> np.ndarray:
     """algebra._exp_coefficients on arrays, as a (4, ...) stack: its
-    half-angle branch, which most elements take, over the arrays, and the
-    function itself on each element that takes another branch."""
+    half-angle branch, which most elements take, by algebra._half_angle over
+    the arrays, and the function itself on each element that takes another."""
     s, r = np.ravel(sigma), np.ravel(rho)
     c4 = s * s - r
-    pos = s >= 0.0
-    w = 0.5 * (s + np.where(pos, 1.0, -1.0) * np.sqrt(c4))
-    u, v = np.where(pos, w, 0.25 * r / w), np.where(pos, 0.25 * r / w, w)
-    uv = np.array((u, v))
-    y, up = np.sqrt(np.abs(uv)), uv >= 0.0
-    chu, chv = np.where(up, np.cosh(y), np.cos(y))
-    scu, scv = np.where(y == 0.0, 1.0, np.where(up, np.sinh(y), np.sin(y)) / y)  # algebra._ch_sc
-    s1 = (chu * scv - scu * chv) / (2.0 * (u - v))
-    out = np.array((chu * chv, 0.5 * scu * scv, np.where(pos, scu * chv - 2.0 * v * s1, chu * scv - 2.0 * u * s1), s1))
+    big = 0.5 * (s + np.where(s >= 0.0, 1.0, -1.0) * np.sqrt(c4))
+    small = 0.25 * r / big
+    roots = np.array((big, small))
+    y, up = np.sqrt(np.abs(roots)), roots >= 0.0
+    chb, chs = np.where(up, np.cosh(y), np.cos(y))
+    scb, scs = np.where(y == 0.0, 1.0, np.where(up, np.sinh(y), np.sin(y)) / y)  # algebra._ch_sc
+    out = np.array(_half_angle(chb, scb, chs, scs, big, small))
     other = np.flatnonzero(~((np.abs(s) + np.sqrt(np.abs(r)) > _SERIES_RADIUS) & (4.0 * c4 >= s * s)))
     for i, si, ri in zip(other, s[other].tolist(), r[other].tolist()):
         out[:, i] = _scalar_exp_coefficients(si, ri)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quaternion import ONE, ZERO, E1, E2, E3, Quaternion, _mul_add, _quaternion, embed
+from .quaternion import ONE, ZERO, E1, E2, E3, Quaternion, _max_abs, _mul_add, _quaternion, embed
 
 #: Ambient Minkowski metric diag(1,-1,-1,-1,-1) as integer signs.
 ETA = (1, -1, -1, -1, -1)
@@ -90,7 +90,7 @@ class QMat2(NamedTuple):
         return QMat2(self.a.conj(), self.c.conj(), self.b.conj(), self.d.conj())
 
     def max_norm(self) -> float:
-        return max(self.a.max_abs(), self.b.max_abs(), self.c.max_abs(), self.d.max_abs())
+        return _max_abs((*self.a, *self.b, *self.c, *self.d))
 
     def embed(self) -> np.ndarray:
         """Faithful 4x4 complex matrix (2x2 blocks of embedded quaternions)."""
@@ -152,13 +152,6 @@ def _slash(x) -> tuple:
 def slash(x) -> QMat2:
     """Map a 5-vector to x^alpha gamma_alpha (_slash)."""
     return QMat2(*map(_quaternion, _slash(np.asarray(x, dtype=float).tolist())))
-
-
-def _max_abs(v) -> float:
-    """Largest |v_i|, or NaN if any v_i is NaN (max keeps a NaN only in first place)."""
-    v = [abs(c) for c in v]
-    total = sum(v)
-    return max(v) if total == total else total
 
 
 def unslash(m: QMat2) -> np.ndarray:

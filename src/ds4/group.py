@@ -15,12 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gamma import DSPoint, QMat2, _matmul, _max_abs, _slash, _unslash, gamma, unslash
+from .gamma import DSPoint, QMat2, _matmul, _slash, _unslash, unslash
 from .quaternion import (
     E1,
     ZERO,
     Quaternion,
     UnitQuaternion,
+    _max_abs,
     _mul,
     _quaternion,
     ensure_pure_unit,
@@ -30,7 +31,6 @@ from .quaternion import (
     sqrt_unit,
 )
 
-_SWAP = gamma(0) @ gamma(4)  # equals (0 1; 1 0)
 #: Default bound on both membership defects (batch.certified too).
 MEMBER_TOL = 1e-10
 
@@ -123,6 +123,18 @@ def _inverse(m) -> tuple:
 def inverse(g: GroupElement) -> GroupElement:
     """Closed-form inverse (_inverse), which pseudo-unitarity makes exact."""
     return GroupElement(QMat2(*map(_quaternion, _inverse(_qmat(g)))))
+
+
+def involution(g) -> QMat2:
+    """The map g -> gamma^0 gamma^4 dagger(g) gamma^0 gamma^4, in closed form
+    (conj d, conj b; conj c, conj a), as gamma^0 gamma^4 = (0 1; 1 0).
+
+    Applying it twice returns g.  It fixes space and time translations
+    and sends rotations and boosts to their inverses, which is what makes
+    the four-factor splitting well posed.
+    """
+    a, b, c, d = _qmat(g)
+    return QMat2(d.conj(), b.conj(), c.conj(), a.conj())
 
 
 def act_vector(g, x) -> np.ndarray:
@@ -294,16 +306,6 @@ def decompose(g, member_tol: float = MEMBER_TOL) -> DecompositionFactors:
     else:
         phi, u = 0.0, E1
     return DecompositionFactors(w, psi, Quaternion(v0, v1, v2, v3), phi, u)
-
-
-def involution(g) -> QMat2:
-    """The map g -> gamma^0 gamma^4 dagger(g) gamma^0 gamma^4.
-
-    Applying it twice returns g.  It fixes space and time translations
-    and sends rotations and boosts to their inverses, which is what makes
-    the four-factor splitting well posed.
-    """
-    return _SWAP @ _qmat(g).dagger() @ _SWAP
 
 
 def random_member(rng: np.random.Generator, method: str = "factors") -> GroupElement:

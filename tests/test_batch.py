@@ -108,10 +108,10 @@ def _same_bits(a, b) -> bool:
 
 
 def test_shared_products_agree_on_edge_values():
-    # quaternion._mul, _mul_add, gamma._matmul, group.factor_blocks, _study_det
-    # and algebra._invariants run the same IEEE operations on Python floats and
-    # on component-major arrays, so they agree bit for bit on any input, as
-    # Quaternion.__mul__ and batch.mul do
+    # quaternion._mul, _mul_add, gamma._matmul, group.factor_blocks, _study_det,
+    # algebra._invariants and _half_angle run the same IEEE operations on Python
+    # floats and on component-major arrays, so they agree bit for bit on any
+    # input, as Quaternion.__mul__ and batch.mul do
     rng = np.random.default_rng(414)
     n = 512
 
@@ -122,6 +122,10 @@ def test_shared_products_agree_on_edge_values():
     p[:64], q[:64] = rng.choice((0.0, -0.0, 5e-324, -2.5e-310), size=(2, 64, 4))  # signed underflow
     w, v, u, (ch, sh, cb, sb) = draw(n, 4), draw(n, 4), draw(n, 3), draw(4, n)
     o = draw(4, n, 4)  # the right factor of the block product (p, q; r, t) o
+    chb, scb, chs, scs, big, small = draw(6, n)  # _half_angle's arguments
+    sigma0, rho0 = rng.choice((0.0, -0.0), 64), -rng.exponential(4.0, 64)
+    big[:64] = 0.5 * (sigma0 + np.sqrt(sigma0 * sigma0 - rho0))  # the roots at sigma = +-0.0
+    small[:64] = 0.25 * rho0 / big[:64]
     with np.errstate(all="ignore"):  # inf - inf, 0 * inf and overflow, as on floats
         prod = batch.mul(p, q)
         mul_add = np.array(quaternion._mul_add(p.T, q.T, r.T, t.T)).T
@@ -130,6 +134,7 @@ def test_shared_products_agree_on_edge_values():
         det = group._study_det(p.T, q.T, r.T, t.T)  # (p, q; r, t) as the blocks, unpivoted
         sigma, N, rho = algebra._invariants((p.T, q.T, r.T, t.T))  # ... and as those of X^2
         N = np.array(N).transpose(2, 0, 1)
+        half = np.array(algebra._half_angle(chb, scb, chs, scs, big, small)).T
     for k in range(n):
         pk, qk, rk, tk = p[k].tolist(), q[k].tolist(), r[k].tolist(), t[k].tolist()
         assert _same_bits(Quaternion(*pk) * Quaternion(*qk), prod[k])
@@ -144,6 +149,9 @@ def test_shared_products_agree_on_edge_values():
         assert _same_bits(group._study_det(pk, qk, rk, tk), det[k])
         sigma_k, N_k, rho_k = algebra._invariants((pk, qk, rk, tk))
         assert _same_bits((sigma_k, rho_k), (sigma[k], rho[k])) and _same_bits(N_k, N[k])
+        if big[k] != small[k]:  # else a float division by zero raises
+            args = (chb[k], scb[k], chs[k], scs[k], big[k], small[k])
+            assert _same_bits(algebra._half_angle(*map(float, args)), half[k])
     assert np.isnan(prod).any() and np.isinf(prod).any() and (np.signbit(prod) & (prod == 0.0)).any()
     assert ((np.abs(prod) < 2.3e-308) & (prod != 0.0)).any()  # subnormal products
 
@@ -161,21 +169,28 @@ def test_membership_defects_match_scalar():
 
 
 def test_each_invariant_has_one_body():
-    # sigma, N and rho of X^2 are written once, in algebra._invariants, and the
-    # Study determinant once, in group._study_det; each route's exp and
-    # membership check calls them, and nothing else does
-    calls = Counter()
+    # sigma, N and rho of X^2 are written once, in algebra._invariants, the
+    # Study determinant once, in group._study_det, and the half-angle
+    # coefficients once, in algebra._half_angle; each route's exp and
+    # membership check calls them, and nothing else does.  The one scalar
+    # max-abs is quaternion._max_abs.
+    calls, defs = Counter(), []
     for path in Path(ds4.__file__).parent.glob("*.py"):
         text = path.read_text()
         for fn in ast.walk(ast.parse(text)):
             if isinstance(fn, ast.FunctionDef):
+                defs += [f"{path.stem}.{fn.name}"] if fn.name == "_max_abs" else []
                 for node in ast.walk(fn):
                     name = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
-                    if name in ("_invariants", "_study_det"):
+                    if name in ("_invariants", "_study_det", "_half_angle"):
                         calls[f"{name} in {path.stem}.{fn.name}"] += 1
         assert text.count("_mul(_mul(") == (path.name == "group.py"), path.name  # c conj(a) b
+        assert text.count("/ (2.0 * (") == (path.name == "algebra.py"), path.name  # s1
     assert calls == {"_invariants in algebra._expm": 1, "_invariants in batch._expm": 1,
-                     "_study_det in group.is_member": 1, "_study_det in batch.is_member": 1}
+                     "_study_det in group.is_member": 1, "_study_det in batch.is_member": 1,
+                     "_half_angle in algebra._exp_coefficients": 1,
+                     "_half_angle in batch._exp_coefficients": 1}
+    assert defs == ["quaternion._max_abs"]
 
 
 def test_reconstruct_matches_scalar():

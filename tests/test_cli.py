@@ -217,7 +217,7 @@ def test_check_failing_tolerance_exits_one(capsys):
 
 
 def _with_a_nan(m):
-    """m with a NaN in one component of one block, which QMat2.max_norm drops."""
+    """m with a NaN in one component of one block, which Python's max drops."""
     return m._replace(d=m.d._replace(z=float("nan")))
 
 

@@ -81,6 +81,22 @@ def test_matmul_is_bitwise_the_term_by_term_product():
         assert np.array(m @ n).tobytes() == np.array(want).tobytes()
 
 
+def test_max_norm_and_max_abs_keep_a_nan():
+    # Python's max keeps a NaN only in first place; quaternion._max_abs, which
+    # both call, makes a NaN anywhere the result, and is max's value otherwise
+    rng = np.random.default_rng(23)
+    edge = (0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.inf, -np.inf, 1.5, -0.75)
+    for _ in range(200):
+        v = np.where(rng.random(16) < 0.5, rng.normal(size=16), rng.choice(edge, size=16)).tolist()
+        m = QMat2(*map(Quaternion._make, (v[0:4], v[4:8], v[8:12], v[12:16])))
+        assert np.float64(m.max_norm()).tobytes() == np.float64(max(map(abs, v))).tobytes()
+        assert np.float64(m.b.max_abs()).tobytes() == np.float64(max(map(abs, v[4:8]))).tobytes()
+        for i in range(16):
+            w = v[:i] + [float("nan")] + v[i + 1:]
+            assert np.isnan(QMat2(*map(Quaternion._make, (w[0:4], w[4:8], w[8:12], w[12:16]))).max_norm())
+            assert np.isnan(Quaternion._make(w[i - i % 4:i - i % 4 + 4]).max_abs())
+
+
 def test_slash_origin_blocks():
     R = 2.5
     m = slash(origin(R).x)
