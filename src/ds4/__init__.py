@@ -5,7 +5,7 @@ space-time-Lorentz factorization, adjoint orbits of massive scalar systems
 with their conservation laws, and the numerical flat-spacetime limit.
 """
 
-from .quaternion import Quaternion, UnitQuaternion, sqrt_unit
+from .quaternion import Quaternion, sqrt_unit
 from .gamma import (
     DSPoint,
     QMat2,

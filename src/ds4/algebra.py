@@ -22,8 +22,6 @@ from .gamma import ETA, QMat2, _matmul, slash, unslash
 from .group import GroupElement, certified
 from .quaternion import E1, E2, E3, ONE, ZERO, Quaternion, _mul, _mul_add, _quaternion
 
-GENERATOR_LABELS = ("X1", "X2", "X3", "X0", "Y1", "Y2", "Y3", "Z1", "Z2", "Z3")
-
 _EK = (E1, E2, E3)
 
 
@@ -99,6 +97,7 @@ K_INDEX = {
     "Y1": (2, 3), "Y2": (3, 1), "Y3": (1, 2),
     "Z1": (0, 1), "Z2": (0, 2), "Z3": (0, 3),
 }
+GENERATOR_LABELS = tuple(K_INDEX)
 _K_TABLE = {}
 for _lab, (_al, _be) in K_INDEX.items():
     _K_TABLE[(_al, _be)] = _GENERATORS[_lab]
@@ -305,7 +304,11 @@ def exp(X: AlgebraElement, t: float = 1.0) -> GroupElement:
     return certified(_expm([[t * c for c in q] for q in X.m]))
 
 
+#: Range of each seeded coordinate, here and in batch.members.
+COORD_RANGE = (-1.0, 1.0)
+
+
 def random_element(rng: np.random.Generator) -> AlgebraElement:
-    """Coordinates uniform in [-1, 1]^10."""
-    c = rng.uniform(-1.0, 1.0, 10).tolist()
+    """The ten coordinates (a, j, d0, d) uniform in COORD_RANGE."""
+    c = rng.uniform(*COORD_RANGE, 10).tolist()
     return from_coords(c[0:3], c[3:6], c[6], c[7:10])

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _CONJ, _NOT_FINITE, _OVERFLOW, _SERIES_RADIUS, _half_angle, _invariants
+from .algebra import COORD_RANGE, _CONJ, _NOT_FINITE, _OVERFLOW, _SERIES_RADIUS, _half_angle, _invariants
 from .algebra import _exp_coefficients as _scalar_exp_coefficients
-from .group import MEMBER_TOL, MembershipReport, NonMemberError, _study_det, factor_blocks
-from .quaternion import UNIT_TOL, Quaternion, _mul
+from .group import MEMBER_TOL, PHI_RANGE, PSI_RANGE, MembershipReport, NonMemberError, _study_det, factor_blocks
+from .quaternion import REDRAW_NORM, UNIT_TOL, Quaternion, _mul
 
 #: Trials per array in a suite run; bounds the peak memory.
 CHUNK = 512
@@ -87,10 +87,10 @@ def unit(q) -> np.ndarray:
 
 
 def random_unit(rng: np.random.Generator, n: int, dim: int = 4) -> np.ndarray:
-    """n normalized Gaussian draws, each redrawn while its norm is <= 1e-12
+    """n normalized Gaussian draws, each redrawn while its norm is <= REDRAW_NORM
     (quaternion.random_unit, and random_unit_vector's direction for dim 3)."""
     g = rng.normal(size=(n, dim))
-    while (small := (norms := np.linalg.norm(g, axis=-1)) <= 1e-12).any():
+    while (small := (norms := np.linalg.norm(g, axis=-1)) <= REDRAW_NORM).any():
         g[small] = rng.normal(size=(int(small.sum()), dim))
     return g / norms[:, None]
 
@@ -178,11 +178,11 @@ def members(rng: np.random.Generator, n: int) -> np.ndarray:
     factors at even indices, exp at odd ones."""
     nf, ne = (n + 1) // 2, n // 2
     w, v = random_unit(rng, nf), random_unit(rng, nf)
-    psi, phi = rng.uniform(-2.0, 2.0, nf), rng.uniform(0.0, 2.0, nf)
+    psi, phi = rng.uniform(*PSI_RANGE, nf), rng.uniform(*PHI_RANGE, nf)
     g = reconstruct(w, psi, v, phi, random_unit(rng, nf, 3))
     if ne == 0:  # a chunk of one; exp's fixed cost would dominate its time
         return g
-    c = rng.uniform(-1.0, 1.0, (ne, 10))
+    c = rng.uniform(*COORD_RANGE, (ne, 10))
     out = np.empty((n, 2, 2, 4))
     out[0::2] = g
     out[1::2] = exp(from_coords(c[:, 0:3], c[:, 3:6], c[:, 6], c[:, 7:10]))

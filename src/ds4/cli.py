@@ -222,7 +222,7 @@ def _cmd_orbit(args) -> int:
 def _orbit_lines(points: orbits.OrbitPoint, matrix: bool) -> list[str]:
     """One strict JSON record per row of the sampled stack, the same at any
     chunk size.  Orbit matrices, coordinates and residuals are computed as
-    arrays, one pass per batch.CHUNK = 512 rows, which bounds what is held."""
+    arrays, one pass per batch.CHUNK rows, which bounds what is held."""
     from . import batch  # the array route; the other commands start without it
 
     kappa, lines = points.kappa, []

@@ -20,7 +20,6 @@ from .quaternion import (
     E1,
     ZERO,
     Quaternion,
-    UnitQuaternion,
     _max_abs,
     _mul,
     _quaternion,
@@ -167,7 +166,7 @@ def act(g, p: DSPoint) -> DSPoint:
     return DSPoint(act_vector(g, p.x), p.R)
 
 
-def t_space_translation(w: UnitQuaternion) -> GroupElement:
+def t_space_translation(w: Quaternion) -> GroupElement:
     w = ensure_unit(w)
     return GroupElement(QMat2(w, ZERO, ZERO, w.conj()))
 
@@ -178,7 +177,7 @@ def t_time_translation(psi: float) -> GroupElement:
     return GroupElement(QMat2(ch, sh, sh, ch))
 
 
-def t_space_rotation(v: UnitQuaternion) -> GroupElement:
+def t_space_rotation(v: Quaternion) -> GroupElement:
     v = ensure_unit(v)
     return GroupElement(QMat2(v, ZERO, ZERO, v))
 
@@ -308,24 +307,23 @@ def decompose(g, member_tol: float = MEMBER_TOL) -> DecompositionFactors:
     return DecompositionFactors(w, psi, Quaternion(v0, v1, v2, v3), phi, u)
 
 
+#: Ranges of the seeded rapidities psi and phi, here and in batch.members.
+PSI_RANGE = (-2.0, 2.0)
+PHI_RANGE = (0.0, 2.0)
+
+
 def random_member(rng: np.random.Generator, method: str = "factors") -> GroupElement:
     """Seeded random group element.
 
     Two independent distributions are provided so fuzz suites do not
     inherit the blind spots of a single generator: "factors" multiplies
-    random one-parameter factors (psi in [-2, 2], phi in [0, 2]),
-    "exp" exponentiates a random algebra element with coordinates
-    uniform in [-1, 1].
+    random one-parameter factors (psi uniform in PSI_RANGE, phi in
+    PHI_RANGE), "exp" exponentiates algebra.random_element.
     """
-    if method == "factors":
-        f = DecompositionFactors(
-            random_unit(rng),
-            float(rng.uniform(-2.0, 2.0)),
-            random_unit(rng),
-            float(rng.uniform(0.0, 2.0)),
-            random_unit_vector(rng),
-        )
-        return reconstruct(f)
+    if method == "factors":  # drawn in the order w, psi, v, phi, u
+        w, psi = random_unit(rng), float(rng.uniform(*PSI_RANGE))
+        v, phi = random_unit(rng), float(rng.uniform(*PHI_RANGE))
+        return reconstruct(DecompositionFactors(w, psi, v, phi, random_unit_vector(rng)))
     if method == "exp":
         from .algebra import exp, random_element
 
@@ -334,8 +332,8 @@ def random_member(rng: np.random.Generator, method: str = "factors") -> GroupEle
 
 
 def random_ds_point(rng: np.random.Generator, R: float = 1.0) -> DSPoint:
-    """Seeded random hyperboloid point, psi uniform in [-2, 2]."""
-    psi = rng.uniform(-2.0, 2.0)
+    """Seeded random hyperboloid point, psi uniform in PSI_RANGE."""
+    psi = rng.uniform(*PSI_RANGE)
     z = random_unit(rng)
     ch = R * math.cosh(psi)
     x = np.array([R * math.sinh(psi), ch * z.x, ch * z.y, ch * z.z, ch * z.s])

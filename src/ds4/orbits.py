@@ -19,7 +19,9 @@ import numpy as np
 
 from .algebra import AlgebraElement, _blocks, from_coords, shape_checked, to_coords
 from .gamma import QMat2
-from .quaternion import Quaternion, UnitQuaternion, _quaternion, ensure_pure_unit, ensure_unit
+from .quaternion import Quaternion, _quaternion, ensure_pure_unit, ensure_unit
+
+_TINY = np.finfo(float).tiny
 
 
 class OrbitPoint(NamedTuple):
@@ -31,8 +33,16 @@ class OrbitPoint(NamedTuple):
     kappa: float
 
     @property
-    def p0(self) -> float | np.ndarray:  # as in orbit_matrix
-        return np.hypot(self.kappa, np.sqrt(_dot(self.p, self.p)))
+    def p0(self) -> float | np.ndarray:
+        """hypot(kappa, |p|), |p| = sqrt(p.p); where p.p is below float64's
+        smallest normal, |p| is taken on p 2^600 and scaled back by 2^-600,
+        exact powers of two, so that it neither loses digits nor vanishes."""
+        pp = _dot(self.p, self.p)
+        norm = np.sqrt(pp)
+        if (pp < _TINY).any():
+            big = self.p * 2.0**600
+            norm = np.where(pp < _TINY, np.sqrt(_dot(big, big)) * 2.0**-600, norm)
+        return np.hypot(self.kappa, norm)
 
 
 class CoadjointCoords(NamedTuple):
@@ -68,12 +78,10 @@ class PhysicalState(NamedTuple):
     R: float
 
 
-def _checked_kappa(kappa: float, p_max: float = 1.0) -> float:
-    """kappa, or ValueError unless it is finite and nonnegative and p_max finite and positive."""
+def _checked_kappa(kappa: float) -> float:
+    """kappa, or ValueError unless it is finite and nonnegative."""
     if not 0.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and nonnegative, got {kappa!r}")
-    if not 0.0 < p_max < math.inf:
-        raise ValueError(f"need a finite positive momentum window, got {p_max!r}")
     return float(kappa)
 
 
@@ -98,7 +106,7 @@ def adjoint(g, X):
     return _element(Y) if single else Y
 
 
-def orbit_point_from_group(kappa: float, w: UnitQuaternion, phi: float,
+def orbit_point_from_group(kappa: float, w: Quaternion, phi: float,
                            u: Quaternion) -> OrbitPoint:
     """Orbit point reached from the seed by T_st(w) T_bt(phi, u).
 
@@ -114,7 +122,7 @@ def orbit_point_from_group(kappa: float, w: UnitQuaternion, phi: float,
 
 
 def orbit_matrix(z, p, kappa: float):
-    """(p, p0 z; p0 conj(z), -conj(z) p z) with p0 = hypot(kappa, |p|) and z
+    """(p, p0 z; p0 conj(z), -conj(z) p z) with OrbitPoint's p0 and z
     normalized by batch.unit: an AlgebraElement for one point (4 components
     of z, 3 of p), (..., 2, 2, 4) blocks for (..., 4) z and (..., 3) p."""
     from . import batch  # the array route; `import ds4` starts without it
@@ -125,7 +133,7 @@ def orbit_matrix(z, p, kappa: float):
         raise ValueError(f"need z of shape (..., 4) and p of shape (..., 3), got {z.shape} and {p.shape}")
     z = batch.unit(z)
     pq = np.concatenate((np.zeros(p.shape[:-1] + (1,)), p), -1)
-    top = z * np.hypot(kappa, np.sqrt(_dot(p, p)))[..., None]
+    top = z * OrbitPoint(z, p, kappa).p0[..., None]
     X = shape_checked(batch.blocks(pq, top, batch.conj(top), -batch.mul(batch.mul(batch.conj(z), pq), z)))
     return X if z.ndim > 1 else _element(X)
 
@@ -274,18 +282,20 @@ def sample_orbit(kappa: float, n: int, p_max: float, seed: int) -> OrbitPoint:
 
     if n <= 0:
         raise ValueError("need a positive sample count")
-    kappa = _checked_kappa(kappa, p_max)
+    kappa = _checked_kappa(kappa)
+    if not 0.0 < p_max < math.inf:
+        raise ValueError(f"need a finite positive momentum window, got {p_max!r}")
     rng = np.random.default_rng(seed)
     z = batch.random_unit(rng, n)
     p = batch.random_unit(rng, n, 3) * (p_max * rng.uniform(size=n) ** (1.0 / 3.0))[:, None]
     if kappa == 0.0:
-        p[_dot(p, p) == 0.0] = (0.0, 0.0, p_max)  # measure-zero guard for massless draws
+        p[~p.any(-1)] = (0.0, 0.0, p_max)  # measure-zero guard for massless draws
     return OrbitPoint(z, p, kappa)
 
 
-def massless_orbit_point(z: UnitQuaternion, p) -> OrbitPoint:
+def massless_orbit_point(z: Quaternion, p) -> OrbitPoint:
     """Point of the kappa = 0 family; p0 = |p| and p = 0 is rejected."""
     p = np.asarray(p, dtype=float)
-    if np.linalg.norm(p) == 0.0:
+    if not p.any():
         raise ValueError("massless points need a nonzero momentum")
     return OrbitPoint(ensure_unit(z), p, 0.0)

@@ -107,10 +107,6 @@ def _mul_add(p, q, r, t) -> tuple:
     )
 
 
-# Type alias used in signatures where unit norm is a precondition; unit-ness
-# is enforced at construction sites through ensure_unit / ensure_pure_unit.
-UnitQuaternion = Quaternion
-
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 E1 = Quaternion(0.0, 1.0, 0.0, 0.0)
@@ -169,12 +165,16 @@ def embed(q) -> np.ndarray:
     return (q.reshape(-1, 4) @ _BASIS).view(complex).reshape(q.shape[:-1] + (2, 2))
 
 
+#: A Gaussian draw whose norm is at most this is redrawn, here and in batch.
+REDRAW_NORM = 1e-12
+
+
 def _gaussian(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, float]:
-    """A standard normal dim-vector and its norm, redrawn while the norm is <= 1e-12."""
+    """A standard normal dim-vector and its norm, redrawn while the norm is <= REDRAW_NORM."""
     while True:
         g = rng.normal(size=dim)
         n = math.sqrt(g.dot(g))  # np.linalg.norm's own route for 1-D input
-        if n > 1e-12:
+        if n > REDRAW_NORM:
             return g, n
 
 

@@ -38,11 +38,10 @@ from .quaternion import E2, E3
 
 _INF = float("inf")
 
-#: Conjugation by gamma^0 flips the off-diagonal generators and fixes the rest.
-MIRROR_SIGNS = {
-    "X1": +1, "X2": +1, "X3": +1, "X0": -1,
-    "Y1": +1, "Y2": +1, "Y3": +1, "Z1": -1, "Z2": -1, "Z3": -1,
-}
+#: The sign of gamma^0 K_ab gamma^0 against K_ab: gamma^0 gamma_a gamma^0 =
+#: eta_aa gamma_a, so conjugation multiplies K_ab by eta_aa eta_bb.  It flips
+#: the off-diagonal generators (X0, Z_k) and fixes the rest.
+MIRROR_SIGNS = {lab: ETA[a] * ETA[b] for lab, (a, b) in algebra.K_INDEX.items()}
 
 
 @dataclass
@@ -138,7 +137,7 @@ def suite_orbits(trials: int, rng):
     (budget 1e-9 max(1, kappa^2)) plus the quartic energy constraint on
     physicalized kappa = 1 points (budget 1e-8 in natural units).
 
-    Each family runs in chunks of up to batch.CHUNK = 512 trials held as arrays,
+    Each family runs in chunks of up to batch.CHUNK trials held as arrays,
     which fix the draw order; trial i of a family is transported by a
     factor-built member when i is even and an exp-built one when odd."""
     from . import batch
@@ -155,12 +154,12 @@ def suite_orbits(trials: int, rng):
         return orbits.orbit_matrix(z, p, 0.0)
 
     for kappa in (0.1, 1.0, 10.0):
-        x = np.reshape(orbits.base_element(kappa).m, (2, 2, 4))
+        x = orbits.base_element(kappa)
         for y in transported(trials, lambda n: x):
             yield from _conservation_rows(y, kappa)
     for y in transported(trials, massless):
         yield from _conservation_rows(y, 0.0)
-    x = np.reshape(orbits.base_element(1.0).m, (2, 2, 4))
+    x = orbits.base_element(1.0)
     for y in transported(max(1, trials // 5), lambda n: x):
         st = orbits.physicalize(orbits.to_coadjoint_coords(y), 1.0, 1.0, 10.0)
         yield orbits.energy_quartic_residual(st), 1e-8

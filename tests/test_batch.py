@@ -17,6 +17,7 @@ on stacks.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import sys
 from collections import Counter
@@ -191,6 +192,51 @@ def test_each_invariant_has_one_body():
                      "_half_angle in algebra._exp_coefficients": 1,
                      "_half_angle in batch._exp_coefficients": 1}
     assert defs == ["quaternion._max_abs"]
+
+
+def _float_pair(nodes):
+    """The two floats of a literal (low, high), or None."""
+    try:
+        pair = tuple(map(ast.literal_eval, nodes))
+    except ValueError:
+        return None
+    return pair if len(pair) == 2 and all(type(v) is float for v in pair) else None
+
+
+def test_each_fact_is_stated_once():
+    # The ten generator labels are written once, as the keys of
+    # algebra.K_INDEX, from which the label tuple and the mirror signs are
+    # read; each seeded draw range and the redraw threshold is one constant
+    # that both routes' samplers read; p0 = hypot(kappa, |p|) has one body,
+    # OrbitPoint.p0; and an element's block layout is read by _blocks alone.
+    labels, tables, ranges, p0_bodies = set(algebra.K_INDEX), [], Counter(), Counter()
+    for path in Path(ds4.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        tree = ast.parse(text)
+        assert "np.reshape(orbits.base_element" not in text and "UnitQuaternion" not in text, path.name
+        for node in ast.walk(tree):
+            elts = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", ())
+            if sum(isinstance(e, ast.Constant) and e.value in labels for e in elts) >= 2:
+                tables.append(f"{path.stem}: {text.splitlines()[node.lineno - 1]}")
+            if isinstance(node, ast.Tuple):
+                ranges[_float_pair(node.elts)] += 1
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "uniform":
+                ranges[_float_pair(node.args[:2])] += 1  # a range written into a draw
+        for cls in ast.walk(tree):
+            if isinstance(cls, (ast.ClassDef, ast.FunctionDef)):
+                for node in ast.walk(cls):
+                    if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "hypot"
+                            and "kappa" in ast.get_source_segment(text, node.args[0])):
+                        p0_bodies[f"{path.stem}.{cls.name}"] += 1
+    assert tables == ["algebra: K_INDEX = {"]
+    assert algebra.GENERATOR_LABELS == tuple(algebra.K_INDEX)
+    assert {r: ranges[r] for r in ((-2.0, 2.0), (0.0, 2.0), (-1.0, 1.0))} == {
+        group.PSI_RANGE: 1, group.PHI_RANGE: 1, algebra.COORD_RANGE: 1}
+    assert p0_bodies == {"orbits.OrbitPoint": 1, "orbits.p0": 1}  # the property, inside its class
+    for sampler in (quaternion._gaussian, batch.random_unit):
+        source = inspect.getsource(sampler)
+        assert "1e-12" not in source and "REDRAW_NORM" in source, sampler.__qualname__
+    assert Path(quaternion.__file__).read_text().count("1e-12") == 1
 
 
 def test_reconstruct_matches_scalar():

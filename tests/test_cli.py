@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -497,6 +498,18 @@ def test_orbit_matrix_flag(capsys):
     assert code == 0
     rec = json.loads(out.strip())
     assert "matrix" in rec and set(rec["matrix"]["blocks"]) == {"a", "b", "c", "d"}
+
+
+def test_orbit_records_at_an_underflowing_momentum(capsys):
+    # p.p underflows at |p| = 1e-170: each record keeps its own p, and d0 = p0 z_s
+    code, out, _ = run_cli(capsys, "orbit", "--kappa", "0", "--pmax", "1e-170", "-n", "3", "--seed", "1")
+    assert code == 0
+    recs = [json.loads(line) for line in out.split("\n") if line]
+    assert len({tuple(r["p"]) for r in recs}) == 3
+    for r in recs:
+        p0 = math.ldexp(math.hypot(*(math.ldexp(c, 600) for c in r["p"])), -600)
+        assert abs(r["coords"]["d0"] - p0 * r["z"]["s"]) <= 2 * math.ulp(p0 * r["z"]["s"])
+        assert 0.0 < max(map(abs, r["p"])) <= 1e-170
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ds4 import group
+from ds4 import group, suites
 from ds4.gamma import QMat2, gamma, minkowski_square, origin, slash, unslash
 from ds4.group import (
     DecompositionFactors,
@@ -615,6 +615,8 @@ def test_mirror_generator_signs():
         elif (ad + G).max_norm() <= 1e-12:
             signs[label] = -1
     assert signs == EXPECTED_MIRROR_SIGNS
+    # the mirror suite reads them off the planes of algebra.K_INDEX as eta_aa eta_bb
+    assert suites.MIRROR_SIGNS == EXPECTED_MIRROR_SIGNS
 
 
 # ---------------------------------------------------------------------------

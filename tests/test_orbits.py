@@ -518,6 +518,39 @@ def test_sample_orbit_massless_guard():
     assert not sample_orbit(1.0, 3, 2.0, _ZeroUniform(np.random.PCG64(74))).p.any()
 
 
+def _p0_oracle(kappa: float, p) -> float:
+    """hypot(kappa, |p|) by math.hypot on the inputs scaled by 2^600, where no square underflows."""
+    return math.ldexp(math.hypot(math.ldexp(kappa, 600), *(math.ldexp(c, 600) for c in p)), -600)
+
+
+def _ulps(got, want) -> float:
+    return max(abs(g - w) / math.ulp(w) for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-160])
+@pytest.mark.parametrize("p_max", [1e-150, 1e-155, 1e-158, 1e-160, 1e-161, 1e-170, 1e-200, 1e-250, 1e-300])
+def test_p0_keeps_its_digits_where_p_dot_p_underflows(kappa, p_max):
+    # below |p| ~ 1.5e-154, p.p underflows: p0 is taken on p 2^600 there
+    pts = sample_orbit(kappa, 200, p_max, seed=1)
+    want = [_p0_oracle(kappa, p) for p in pts.p.tolist()]
+    assert _ulps(pts.p0, want) <= 2.0
+    assert _ulps([OrbitPoint(z, p, kappa).p0 for z, p in zip(pts.z, pts.p)], want) <= 2.0
+    z_s = batch.unit(pts.z)[:, 0]
+    d0 = orbit_matrix(pts.z, pts.p, kappa)[:, 0, 1, 0]
+    assert _ulps(d0, z_s * np.array(want)) <= 2.0
+    assert orbit_matrix(pts.z[0], pts.p[0], kappa).m.b.s == d0[0]  # one body for a point and a stack
+
+
+def test_massless_guard_leaves_tiny_momenta():
+    # only an exact p = 0 is replaced, not a p whose p.p underflows
+    for p_max in (1e-161, 1e-170):
+        p = sample_orbit(0.0, 1000, p_max, seed=1).p
+        assert p.any(-1).all() and len(np.unique(p, axis=0)) == 1000
+    assert massless_orbit_point(ONE, (1e-170, 0.0, 0.0)).p0 == 1e-170
+    with pytest.raises(ValueError, match="nonzero momentum"):
+        massless_orbit_point(ONE, (0.0, -0.0, 0.0))
+
+
 def test_sample_orbit_measure_symmetry():
     n = 1000
     pts = sample_orbit(1.0, n, 5.0, seed=7)
